@@ -7,20 +7,14 @@ namespace treecache::fib {
 PacketSampler::PacketSampler(const RuleTree& rules, double zipf_skew,
                              Rng& rng)
     : rules_(&rules),
-      ranked_([&] {
+      ranking_([&] {
+        TC_CHECK(rules.tree.size() >= 2,
+                 "rule tree has only the default rule");
         // Rank the non-root rules in random order.
         std::vector<NodeId> ids(rules.tree.size() - 1);
         std::iota(ids.begin(), ids.end(), NodeId{1});
-        rng.shuffle(ids);
-        return ids;
-      }()),
-      sampler_(std::max<std::size_t>(ranked_.size(), 1), zipf_skew) {
-  TC_CHECK(!ranked_.empty(), "rule tree has only the default rule");
-}
-
-NodeId PacketSampler::sample_rule(Rng& rng) const {
-  return ranked_[sampler_.sample(rng)];
-}
+        return ZipfRanking::shuffled(std::move(ids), zipf_skew, rng);
+      }()) {}
 
 Address PacketSampler::sample_address(Rng& rng) const {
   const NodeId rule = sample_rule(rng);
@@ -68,7 +62,7 @@ std::size_t FibTraceSource::fill(std::span<Request> buffer) {
 }
 
 std::unique_ptr<RequestSource> FibTraceSource::fork() const {
-  // Copy (sampler permutation included), then rewind to the captured
+  // Copy (the sampler's ranking is shared), then rewind to the captured
   // post-setup RNG state: the fork replays the identical stream.
   auto copy = std::make_unique<FibTraceSource>(*this);
   copy->reset();

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/request_source.hpp"
 #include "core/trace.hpp"
@@ -20,10 +21,13 @@ namespace treecache::fib {
 class PacketSampler {
  public:
   /// Popularity ranks are a random permutation of the non-root rules.
+  /// Copies share the ranking.
   PacketSampler(const RuleTree& rules, double zipf_skew, Rng& rng);
 
   /// Draws the tree node a packet's full-table LPM resolves to.
-  [[nodiscard]] NodeId sample_rule(Rng& rng) const;
+  [[nodiscard]] NodeId sample_rule(Rng& rng) const {
+    return ranking_->sample(rng);
+  }
 
   /// Draws an address whose LPM is (usually) the sampled rule; if the
   /// rule's children cover the sampled address, the packet simply belongs
@@ -32,8 +36,7 @@ class PacketSampler {
 
  private:
   const RuleTree* rules_;
-  std::vector<NodeId> ranked_;
-  ZipfSampler sampler_;
+  std::shared_ptr<const ZipfRanking> ranking_;  // shared by copies
 };
 
 struct FibWorkloadConfig {

@@ -34,16 +34,14 @@ BasicRibChurnSource<PrefixT>::BasicRibChurnSource(
     const ChurnReplayConfig& config, Rng rng)
     : replay_(std::move(replay)),
       config_(config),
-      ranked_([&] {
+      ranking_([&] {
         TC_CHECK(replay_ != nullptr, "replay must not be null");
         TC_CHECK(replay_->fib.tree.size() >= 2,
                  "feed produced a table with no routes");
         std::vector<NodeId> ids(replay_->fib.tree.size() - 1);
         std::iota(ids.begin(), ids.end(), NodeId{1});
-        rng.shuffle(ids);
-        return ids;
+        return ZipfRanking::shuffled(std::move(ids), config.zipf_skew, rng);
       }()),
-      zipf_(ranked_.size(), config.zipf_skew),
       start_rng_(rng),
       rng_(rng) {
   TC_CHECK(config_.alpha >= 1, "alpha must be positive");
@@ -57,7 +55,7 @@ template <typename PrefixT>
 NodeId BasicRibChurnSource<PrefixT>::sample_lookup() {
   using Bits = typename PrefixT::Bits;
   using Family = fib::AddressFamily<Bits>;
-  const NodeId rule = ranked_[zipf_.sample(rng_)];
+  const NodeId rule = ranking_->sample(rng_);
   const PrefixT& p = replay_->fib.prefix[rule];
   const Bits span_mask = ~fib::prefix_mask<Bits>(p.length);
   // A handful of rejection rounds keeps most packets on the sampled rule;
@@ -118,7 +116,7 @@ std::optional<std::uint64_t> BasicRibChurnSource<PrefixT>::size_hint() const {
 
 template <typename PrefixT>
 std::unique_ptr<RequestSource> BasicRibChurnSource<PrefixT>::fork() const {
-  // Copy (rank permutation and shared replay included), then rewind to the
+  // Copy (sharing the replay and the Zipf ranking), then rewind to the
   // captured post-setup RNG state: the fork replays the identical stream.
   auto copy = std::make_unique<BasicRibChurnSource<PrefixT>>(*this);
   copy->reset();

@@ -70,8 +70,8 @@ class BasicRibChurnSource final : public RequestSource {
 
   std::shared_ptr<const BasicChurnReplay<PrefixT>> replay_;
   ChurnReplayConfig config_;
-  std::vector<NodeId> ranked_;  // Zipf ranks: shuffled non-root rules
-  ZipfSampler zipf_;
+  // Zipf ranks over the shuffled non-root rules, shared with forks.
+  std::shared_ptr<const ZipfRanking> ranking_;
   Rng start_rng_;  // state AFTER the rank permutation draw
   Rng rng_;
   std::uint64_t total_ = 0;  // exact stream length in requests

@@ -12,14 +12,6 @@ Sign draw_sign(double negative_fraction, Rng& rng) {
   return rng.chance(negative_fraction) ? Sign::kNegative : Sign::kPositive;
 }
 
-/// Random node-per-rank assignment for Zipf popularity.
-std::vector<NodeId> random_rank_assignment(std::span<const NodeId> nodes,
-                                           Rng& rng) {
-  std::vector<NodeId> ranked(nodes.begin(), nodes.end());
-  rng.shuffle(ranked);
-  return ranked;
-}
-
 std::vector<NodeId> all_nodes(const Tree& tree) {
   std::vector<NodeId> all(tree.size());
   std::iota(all.begin(), all.end(), NodeId{0});
@@ -63,9 +55,8 @@ ZipfSource::ZipfSource(const Tree& tree, std::uint64_t length, double skew,
                        double negative_fraction, bool leaves_only, Rng rng)
     : length_(length),
       negative_fraction_(negative_fraction),
-      ranked_(random_rank_assignment(
-          leaves_only ? tree.leaves() : all_nodes(tree), rng)),
-      sampler_(ranked_.size(), skew),
+      ranking_(ZipfRanking::shuffled(
+          leaves_only ? tree.leaves() : all_nodes(tree), skew, rng)),
       start_rng_(rng),  // state AFTER the permutation draw: reset replays
       rng_(rng),        // sampling only, over the one fixed ranking
       remaining_(length) {}
@@ -74,7 +65,7 @@ std::size_t ZipfSource::fill(std::span<Request> buffer) {
   std::size_t n = 0;
   while (n < buffer.size() && remaining_ > 0) {
     --remaining_;
-    buffer[n++] = Request{ranked_[sampler_.sample(rng_)],
+    buffer[n++] = Request{ranking_->sample(rng_),
                           draw_sign(negative_fraction_, rng_)};
   }
   return n;
@@ -151,8 +142,7 @@ UpdateChurnSource::UpdateChurnSource(const Tree& tree, std::uint64_t length,
     : length_(length),
       alpha_(alpha),
       update_probability_(update_probability),
-      ranked_(random_rank_assignment(all_nodes(tree), rng)),
-      sampler_(ranked_.size(), skew),
+      ranking_(ZipfRanking::shuffled(all_nodes(tree), skew, rng)),
       start_rng_(rng),
       rng_(rng),
       remaining_(length) {
@@ -168,7 +158,7 @@ std::size_t UpdateChurnSource::fill(std::span<Request> buffer) {
       buffer[n++] = negative(pending_node_);
       continue;
     }
-    const NodeId v = ranked_[sampler_.sample(rng_)];
+    const NodeId v = ranking_->sample(rng_);
     if (rng_.chance(update_probability_)) {
       // One rule update = alpha negative requests (Appendix B); the last
       // chunk truncates so exactly `length` requests are emitted.

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/request_source.hpp"
@@ -60,8 +61,7 @@ class ZipfSource final : public RequestSource {
  private:
   std::uint64_t length_;
   double negative_fraction_;
-  std::vector<NodeId> ranked_;
-  ZipfSampler sampler_;
+  std::shared_ptr<const ZipfRanking> ranking_;  // shared with forks
   Rng start_rng_;
   Rng rng_;
   std::uint64_t remaining_;
@@ -114,8 +114,7 @@ class UpdateChurnSource final : public RequestSource {
   std::uint64_t length_;
   std::uint64_t alpha_;
   double update_probability_;
-  std::vector<NodeId> ranked_;
-  ZipfSampler sampler_;
+  std::shared_ptr<const ZipfRanking> ranking_;  // shared with forks
   Rng start_rng_;
   Rng rng_;
   NodeId pending_node_ = 0;

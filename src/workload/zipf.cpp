@@ -1,7 +1,8 @@
 #include "workload/zipf.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 namespace treecache {
 
@@ -16,6 +17,8 @@ std::vector<double> zipf_weights(std::size_t n, double skew) {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double skew) {
+  TC_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+           "too many ranks for the guide table");
   const auto weights = zipf_weights(n, skew);
   cdf_.resize(n);
   double acc = 0.0;
@@ -25,16 +28,18 @@ ZipfSampler::ZipfSampler(std::size_t n, double skew) {
   }
   for (double& c : cdf_) c /= acc;
   cdf_.back() = 1.0;  // guard against rounding
-}
 
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  return sample_at(rng.uniform01());
-}
-
-std::size_t ZipfSampler::sample_at(double u) const {
-  TC_CHECK(u >= 0.0 && u < 1.0, "u must lie in [0, 1)");
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+  // One merge pass over the bucket edges j/K and the CDF. Every edge is
+  // ≤ 1.0 = cdf_.back(), so the scan never runs off the end.
+  const std::size_t k = std::bit_ceil(n);
+  buckets_ = static_cast<double>(k);
+  guide_.resize(k + 1);
+  std::size_t r = 0;
+  for (std::size_t j = 0; j <= k; ++j) {
+    const double edge = static_cast<double>(j) / buckets_;
+    while (cdf_[r] < edge) ++r;
+    guide_[j] = static_cast<std::uint32_t>(r);
+  }
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {

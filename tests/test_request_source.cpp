@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "engine/shard_plan.hpp"
 #include "fib/fib_workloads.hpp"
@@ -373,6 +377,106 @@ TEST(Combinators, ComposeAcrossLevels) {
   EXPECT_EQ(first.size(), 600u);
   source->reset();
   EXPECT_EQ(materialize(*source), first);
+}
+
+// --- Golden streams ------------------------------------------------------
+//
+// 64-bit hashes of the first 1M requests of each Zipf-driven source at a
+// fixed seed, recorded before the guide-table sampler replaced the plain
+// CDF binary search. Any change to sampling, rank permutation or RNG
+// consumption that perturbs a stream fails here.
+
+constexpr std::size_t kGoldenRequests = 1'000'000;
+
+std::uint64_t mix_into(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 32);
+}
+
+/// Hash of the first `limit` requests (node and sign) of `source`.
+std::uint64_t stream_hash(RequestSource& source, std::size_t limit) {
+  std::vector<Request> buffer(4096);
+  std::uint64_t h = 0;
+  std::size_t seen = 0;
+  while (seen < limit) {
+    const std::size_t want = std::min(buffer.size(), limit - seen);
+    const std::size_t got = source.fill(std::span(buffer.data(), want));
+    if (got == 0) break;
+    for (std::size_t i = 0; i < got; ++i) {
+      const Request& r = buffer[i];
+      const std::uint64_t negative = r.sign == Sign::kNegative;
+      h = mix_into(h, (std::uint64_t{r.node} << 1) | negative);
+    }
+    seen += got;
+  }
+  EXPECT_EQ(seen, limit) << "stream ended early";
+  return h;
+}
+
+TEST(GoldenStreams, ZipfSourceAllNodes) {
+  const Tree tree = trees::complete_kary(6, 8);
+  workload::ZipfSource source(tree, kGoldenRequests, 1.0, 0.1, false, Rng(5));
+  EXPECT_EQ(stream_hash(source, kGoldenRequests), 0xbfff550cebb52afdULL);
+}
+
+TEST(GoldenStreams, ZipfSourceLeavesOnly) {
+  const Tree tree = trees::complete_kary(6, 8);
+  workload::ZipfSource source(tree, kGoldenRequests, 1.2, 0.1, true, Rng(9));
+  EXPECT_EQ(stream_hash(source, kGoldenRequests), 0x7d1faa74b2da4ec8ULL);
+}
+
+TEST(GoldenStreams, UpdateChurnSource) {
+  const Tree tree = trees::complete_kary(13, 2);
+  workload::UpdateChurnSource source(tree, kGoldenRequests, 1.0, 16, 0.02,
+                                     Rng(11));
+  EXPECT_EQ(stream_hash(source, kGoldenRequests), 0x465f7254b3eded17ULL);
+}
+
+TEST(GoldenStreams, FibTraceSource) {
+  sim::Params params;
+  params.set("rules", "4096");
+  const fib::RuleTree rules = fib::rule_tree_from_params(params);
+  fib::FibWorkloadConfig config;
+  config.events = kGoldenRequests;
+  config.zipf_skew = 1.0;
+  config.update_probability = 0.01;
+  config.alpha = 16;
+  fib::FibTraceSource source(rules, config, Rng(13));
+  EXPECT_EQ(stream_hash(source, kGoldenRequests), 0x3ed32924642a9dadULL);
+}
+
+TEST(GoldenStreams, RibChurnSource) {
+  // fib-real: the checked-in feed's churn replay with Zipf lookups; the
+  // whole stream, which is shorter than kGoldenRequests.
+  const sim::Params params = smoke_params();
+  const Tree& tree = rib::shared_real_fib(params).tree();
+  const auto source = sim::make_source("fib-real", tree, params, 19);
+  const std::optional<std::uint64_t> length = source->size_hint();
+  ASSERT_TRUE(length.has_value());
+  EXPECT_EQ(stream_hash(*source, *length), 0xc6b223cba0fe911bULL);
+}
+
+TEST(GoldenStreams, RouterEventStream) {
+  // The producer behind RouterSource, on the trivial one-shard plan: every
+  // event's kind, rule and packet address.
+  sim::Params params;
+  params.set("rules", "4096");
+  params.set("packets", std::to_string(kGoldenRequests));
+  const fib::RuleTree rules = fib::rule_tree_from_params(params);
+  const engine::ShardPlan plan(rules.tree, 1);
+  const fib::RouterSimConfig config = sim::fib_router_config(params, 17);
+  fib::RouterEventProducer producer(rules, config, plan);
+  std::uint64_t h = 0;
+  std::size_t events = 0;
+  while (events < kGoldenRequests && producer.pump_for(0)) {
+    const fib::RouterEvent e = producer.pop(0);
+    const std::uint64_t update = e.kind == fib::RouterEventKind::kUpdate;
+    h = mix_into(h, (std::uint64_t{e.node} << 1) | update);
+    h = mix_into(h, e.addr);
+    ++events;
+  }
+  EXPECT_EQ(events, kGoldenRequests);
+  EXPECT_EQ(h, 0xf74b3346694e7ff8ULL);
 }
 
 }  // namespace

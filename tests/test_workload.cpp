@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <span>
+#include <string>
 
 #include "baselines/paging.hpp"
 #include "core/tree_cache.hpp"
@@ -64,6 +67,57 @@ TEST(Zipf, BoundaryDrawsLandOnCdfSteps) {
   // uniform01() never returns 1.0; sample_at enforces the same domain.
   EXPECT_THROW((void)sampler.sample_at(1.0), CheckFailure);
   EXPECT_THROW((void)sampler.sample_at(-0.001), CheckFailure);
+}
+
+TEST(Zipf, GuideTableMatchesFullRangeSearch) {
+  // Differential exactness: sample_at's bucketed search must return the
+  // rank a plain lower_bound over the whole CDF returns, for every u.
+  // Probes hit every CDF step and bucket edge j/K (K = bit_ceil(n)) and
+  // their floating-point neighbours. At skew 50 the tail weights vanish in
+  // the cumulative sum, so the CDF ends in a run of equal values.
+  std::vector<std::size_t> sizes = {1, 2, 3, 4, 5, 7, 8, 9};
+  sizes.insert(sizes.end(), {1023, 1024, 1025, 32761, 37449});
+  const double skews[] = {0.0, 0.5, 1.0, 1.2, 2.0, 50.0};
+  const std::size_t draws_per_sampler = 1'000'000 / sizes.size();
+  Rng rng(77);
+  for (const double skew : skews) {
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " skew=" + std::to_string(skew));
+      const ZipfSampler sampler(n, skew);
+      const std::span<const double> cdf = sampler.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      const auto reference = [&](double u) {
+        return static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+      std::size_t mismatches = 0;
+      const auto probe = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0)) return;
+        if (sampler.sample_at(u) != reference(u)) ++mismatches;
+      };
+      for (const double c : cdf) {
+        probe(c);
+        probe(std::nextafter(c, 0.0));
+        probe(std::nextafter(c, 1.0));
+      }
+      const std::size_t k = std::bit_ceil(n);
+      for (std::size_t j = 0; j < k; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(k);
+        probe(edge);
+        probe(std::nextafter(edge, 0.0));
+        probe(std::nextafter(edge, 1.0));
+      }
+      probe(0.0);
+      probe(std::nextafter(1.0, 0.0));
+      for (std::size_t i = 0; i < draws_per_sampler; ++i) {
+        probe(rng.uniform01());
+      }
+      EXPECT_EQ(mismatches, 0u);
+      if (skew == 50.0 && n >= 3) {
+        EXPECT_EQ(cdf[1], cdf[2]) << "expected a run of equal CDF values";
+      }
+    }
+  }
 }
 
 TEST(Zipf, ChiSquaredAgainstPmf) {
