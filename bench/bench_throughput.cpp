@@ -1,7 +1,8 @@
 // Throughput trajectory: requests/sec of the driver stack, from the
 // legacy per-round observer loop through the batched hot path to the
 // sharded engine at 8 shards — plus the closed loop: the FIB router
-// source sharded into per-shard mirrors with outcome feedback queues.
+// source sharded into per-shard mirrors, each running its own closed loop
+// on its shard's worker.
 // Open-loop rows share one Zipf stream over a tree with eight equal
 // top-level subtrees; closed-loop rows run the router event loop on a
 // synthetic RIB. The tc-batched layout pairs rerun the fib workload with
@@ -170,10 +171,10 @@ int main() {
               tree.size(), levels, params.get("length", "?").c_str(), reps);
 
   // Closed-loop substrate: the FIB router event loop on a synthetic RIB.
-  // Sharded runs generate the event stream ONCE on the producer thread and
-  // route per-shard chunks into the mirrors; stepping parallelizes across
-  // the workers while feedback flows back through batched per-shard
-  // outcome rings.
+  // Sharded runs generate the event stream ONCE through a shared,
+  // thread-safe producer that routes events into per-shard queues; each
+  // worker runs its shards' mirrors through fill → step → observe, so
+  // lookups and stepping parallelize and feedback stays on the worker.
   sim::Params fib_params;
   fib_params.set("alpha", "16");
   fib_params.set("capacity", "512");
@@ -458,11 +459,12 @@ int main() {
       "8 contiguous-preorder shards keep the aggregate cost bit-identical "
       "across thread counts while requests/sec scales with the worker "
       "count (bounded by the machine's cores — see the threads column). "
-      "The fib-closed rows shard the feedback loop itself: one producer "
-      "generates the event stream once and feeds per-shard mirrors, whose "
-      "outcomes flow back through batched per-shard rings — so the sharded "
-      "closed loop pays one generation pass plus parallel stepping, and "
-      "should beat the 1x1 row whenever spare cores exist. The tc-batched "
+      "The fib-closed rows shard the feedback loop itself: one shared "
+      "producer generates the event stream once into per-shard queues, and "
+      "each worker runs its shards' mirrors through fill, step and observe "
+      "— so the sharded closed loop pays one serial generation pass plus "
+      "parallel lookups and stepping, and should beat the 1x1 row whenever "
+      "spare cores exist. The tc-batched "
       "pairs isolate the memory layout: nodeid is the frozen pre-SoA "
       "TreeCache, preorder-soa the flat NodeState block — identical "
       "decisions, so the speedup column is pure locality. The fib-real "

@@ -1,10 +1,11 @@
-// Flattened StepOutcome batches — the transport of the feedback hot path.
+// Flattened StepOutcome batches — outcomes that outlive their step.
 //
 // A StepOutcome's spans point into the algorithm's scratch buffers and die
-// at the next step. Crossing a thread boundary (worker → producer in the
-// sharded engine) therefore needs a copy — but one heap-allocated copy per
-// outcome (three vectors each) is exactly the per-outcome tax the batched
-// observe_batch API exists to kill. An OutcomeBuffer instead appends every
+// at the next step. Holding outcomes past it (to deliver a whole chunk as
+// one observe_batch, or to hand them to another thread) therefore needs a
+// copy — but one heap-allocated copy per outcome (three vectors each) is
+// exactly the per-outcome tax the batched observe_batch API exists to
+// kill. An OutcomeBuffer instead appends every
 // outcome into two flat arrays — fixed-size headers plus one shared NodeId
 // arena — so a whole chunk of outcomes costs at most two amortized
 // allocations, and a drained buffer is recycled wholesale via O(1) swap().

@@ -62,8 +62,7 @@ enum class SplitKind : std::uint8_t {
   /// scales with the shard count.
   kReplicated,
   /// The parts share one generation pass over the stream (e.g. the FIB
-  /// router's producer-fed mirrors). Shared-generation parts must all be
-  /// consumed from a single thread — the engine's producer.
+  /// router's producer-fed mirrors, whose shared producer is thread-safe).
   kShared,
 };
 
@@ -111,6 +110,16 @@ class RequestSource {
   /// per-shard order. A closed-loop source that cannot split is refused.
   [[nodiscard]] virtual bool is_closed_loop() const { return false; }
 
+  /// True when the source holds input it has already generated, which its
+  /// next fill() consumes before pulling anything from a generator shared
+  /// with other parts. A driver of several parts of a shared-generation
+  /// split keeps filling such a part before moving to one that would
+  /// pull: pulling generates events for every sibling, and serving
+  /// buffered input first keeps the shared producer's queues short.
+  /// Advisory (scheduling only, never results); the default claims
+  /// nothing.
+  [[nodiscard]] virtual bool has_buffered() const { return false; }
+
   /// A fresh instance that replays this source's stream from the very
   /// beginning (independent of how far `this` has been consumed), or
   /// nullptr when the source cannot duplicate itself. The default split()
@@ -138,12 +147,12 @@ class RequestSource {
   /// shard-local outcomes; the default refuses them. An empty result
   /// means "cannot split".
   ///
-  /// Shared-generation contract (kShared): the parts pull events from one
-  /// producer, so ALL of them must be consumed from a single thread —
-  /// interleaving fill() calls across parts is fine (the engine's
-  /// producer does exactly that), concurrent calls are not — and reset()
-  /// on any part rewinds the shared stream, so resetting one part mid-run
-  /// invalidates its siblings.
+  /// Threading contract, every kind: each part is driven by one thread at
+  /// a time, and different parts may run on different threads (the
+  /// engine's workers each drive their own shards' parts). Parts of a
+  /// shared-generation split (kShared) pull from one producer that
+  /// synchronizes itself; reset() on any of them rewinds the shared
+  /// stream, so resetting one part mid-run invalidates its siblings.
   [[nodiscard]] virtual std::vector<std::unique_ptr<RequestSource>> split(
       const engine::ShardPlan& plan) const;
 

@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/outcome_buffer.hpp"
 #include "core/tree_cache.hpp"
 #include "util/stopwatch.hpp"
 
@@ -21,23 +20,34 @@
 namespace treecache::engine {
 namespace {
 
-/// Pins the calling thread to the CPU owned by worker `w` (w modulo the
+/// Moves the calling thread to the CPU owned by worker `w` (w modulo the
 /// hardware concurrency — the same mapping every pool uses, so a worker
-/// lands on the same core at construction and on every run). Returns the
-/// CPU, or -1 when pinning is unavailable or denied (reported, not fatal).
-int pin_to_cpu(std::size_t w) {
+/// lands on the same core at construction and on every run). With `pin`
+/// the thread stays there. Without, its affinity is restored at once, so
+/// the move only places it: some kernels leave freshly spawned threads
+/// stacked on the spawning CPU for hundreds of milliseconds, which runs a
+/// short parallel run serially. Returns the CPU, or -1 when affinity is
+/// unavailable or denied (reported, not fatal).
+int move_to_cpu(std::size_t w, bool pin) {
 #if defined(__linux__)
+  cpu_set_t allowed;
+  if (!pin && sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    return -1;
+  }
   const unsigned hardware =
       std::max(1u, std::thread::hardware_concurrency());
   const int cpu = static_cast<int>(w % hardware);
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(cpu, &set);
-  if (sched_setaffinity(0, sizeof(set), &set) == 0) return cpu;
+  if (sched_setaffinity(0, sizeof(set), &set) != 0) return -1;
+  if (!pin) sched_setaffinity(0, sizeof(allowed), &allowed);
+  return cpu;
 #else
   (void)w;
-#endif
+  (void)pin;
   return -1;
+#endif
 }
 
 /// Bound on chunks buffered per worker: enough to keep workers busy while
@@ -55,91 +65,6 @@ struct WorkerQueue {
   bool done = false;
 };
 
-/// Per-shard outcome feedback of a closed-loop run, shared by the producer
-/// (drains into the mirrors' observe_batch()) and the workers (publish
-/// flattened sub-chunks, blocking while the shard's single ring slot is
-/// occupied). One mutex guards all rings: feedback traffic is sub-chunk
-/// grained, never per outcome.
-struct Feedback {
-  explicit Feedback(std::size_t shards, std::size_t bound)
-      : rings(shards), bound(bound) {}
-
-  std::mutex mutex;
-  std::condition_variable ready;  // producer: outcomes to drain, or abort
-  std::condition_variable space;  // workers: the shard's ring was drained
-  std::vector<OutcomeBuffer> rings;  // one published sub-chunk per shard
-  std::size_t pending = 0;  // total buffered outcomes across shards
-  std::size_t bound;        // worker-side flush threshold (outcomes)
-  bool aborted = false;
-
-  /// Producer-side shutdown: discard everything and release every blocked
-  /// worker. Without the drain a worker waiting out an occupied ring would
-  /// never observe shutdown and the join below would deadlock.
-  void abort_and_drain() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      aborted = true;
-      for (auto& ring : rings) ring.clear();
-      pending = 0;
-    }
-    space.notify_all();
-    ready.notify_all();
-  }
-};
-
-/// Thrown out of a worker's sink when the run is being torn down; filtered
-/// by the worker loop (it is shutdown, not an error to report).
-struct AbortRun {};
-
-/// The worker-side sink of a closed-loop shard: accounts every round into
-/// the shard's RunResult (worker-local — the shard is pinned) and appends
-/// the outcome to a flattened worker-local OutcomeBuffer — no per-outcome
-/// heap copies — published to the shard's feedback ring in sub-chunks of
-/// at most `feedback.bound` outcomes.
-class FeedbackSink final : public OutcomeSink {
- public:
-  FeedbackSink(sim::RunResult& result, const OnlineAlgorithm& alg,
-               Feedback& feedback, std::size_t shard, OutcomeBuffer& local)
-      : result_(&result),
-        alg_(&alg),
-        feedback_(&feedback),
-        shard_(shard),
-        local_(&local) {}
-
-  void on_outcome(const Request& request,
-                  const StepOutcome& outcome) override {
-    sim::accumulate_outcome(*result_, request, outcome,
-                            alg_->cache().size());
-    local_->append(outcome);
-    if (local_->size() >= feedback_->bound) publish();
-  }
-
-  /// Hands the buffered outcomes to the shard's ring slot — an O(1) buffer
-  /// swap (the drained slot's storage comes back as the new local buffer),
-  /// waiting out the producer when the previous sub-chunk is still there.
-  /// The worker loop calls this once more after each chunk for the tail.
-  void publish() {
-    if (local_->empty()) return;
-    {
-      std::unique_lock<std::mutex> lock(feedback_->mutex);
-      feedback_->space.wait(lock, [&] {
-        return feedback_->rings[shard_].empty() || feedback_->aborted;
-      });
-      if (feedback_->aborted) throw AbortRun{};
-      feedback_->rings[shard_].swap(*local_);
-      feedback_->pending += feedback_->rings[shard_].size();
-    }
-    feedback_->ready.notify_one();
-  }
-
- private:
-  sim::RunResult* result_;
-  const OnlineAlgorithm* alg_;
-  Feedback* feedback_;
-  std::size_t shard_;
-  OutcomeBuffer* local_;
-};
-
 /// The once-per-process latch for warn_replicated_split below; the rearm
 /// hook (tests) lives in the header.
 std::atomic<bool> g_replicated_split_warned{false};
@@ -147,8 +72,7 @@ std::atomic<bool> g_replicated_split_warned{false};
 /// stderr diagnostic for the split_kind() satellite contract: a replicated
 /// split is correct but regenerates the whole stream once per shard.
 /// Deduplicated process-wide — a sweep or multi-run process hitting the
-/// fallback at several call sites (closed-loop split, threaded open-loop
-/// split) or across many runs prints it once, not once per run.
+/// fallback across many runs prints it once, not once per run.
 void warn_replicated_split(std::size_t shards) {
   if (g_replicated_split_warned.exchange(true)) return;
   std::cerr << "treecache: warning: multi-shard run falls back to "
@@ -169,8 +93,6 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
                              const sim::Params& params, EngineConfig config)
     : plan_(tree, config.shards), config_(config) {
   TC_CHECK(config_.batch >= 1, "engine batch size must be at least 1");
-  TC_CHECK(config_.feedback >= 1,
-           "engine feedback bound must be at least 1");
   // Single-shard plans delegate to run_source, whose batch is fixed:
   // normalize so config() never claims a geometry that was not used.
   if (plan_.num_shards() == 1) config_.batch = sim::kDriverBatchSize;
@@ -197,7 +119,7 @@ ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
-        worker_cpus_[w] = pin_to_cpu(w);
+        worker_cpus_[w] = move_to_cpu(w, /*pin=*/true);
         try {
           for (std::size_t s = w; s < num_shards; s += workers) {
             algs_[s] =
@@ -242,18 +164,23 @@ std::size_t ShardedEngine::effective_threads() const {
 
 EngineResult ShardedEngine::run(RequestSource& source) {
   const std::size_t num_shards = plan_.num_shards();
-  if (num_shards > 1 && source.is_closed_loop()) {
-    // Closed loop: split into one mirror per shard, so each shard's
-    // feedback stays local (see the header comment). The split replays
-    // the stream from the start, which is what run() means anyway.
-    const auto mirrors = source.split(plan_);
-    TC_CHECK(mirrors.size() == num_shards,
+  // Closed loops must split into one mirror per shard, so each shard's
+  // feedback stays local (see the header comment). Open loops split when
+  // more than one worker can run the parts: generation then runs on the
+  // workers instead of serializing on a demux. A split replays the stream
+  // from the start, which is what run() means anyway.
+  if (num_shards > 1 &&
+      (source.is_closed_loop() || effective_threads() > 1)) {
+    const auto parts = source.split(plan_);
+    if (parts.size() == num_shards) {
+      if (source.split_kind() == SplitKind::kReplicated) {
+        warn_replicated_split(num_shards);
+      }
+      return run_split(parts);
+    }
+    TC_CHECK(!source.is_closed_loop(),
              "closed-loop source cannot split into per-shard mirrors "
              "(RequestSource::split); run it with a single shard");
-    if (source.split_kind() == SplitKind::kReplicated) {
-      warn_replicated_split(num_shards);
-    }
-    return run_split(mirrors);
   }
   for (auto& alg : algs_) alg->reset();
 
@@ -275,27 +202,11 @@ EngineResult ShardedEngine::run(RequestSource& source) {
     return out;
   }
 
+  // An open-loop source with one worker, or one that cannot split: the
+  // caller thread demuxes.
   const std::size_t workers = effective_threads();
   out.threads = workers;
   out.per_shard.resize(num_shards);
-
-  // Open-loop scale-out: with more than one worker, prefer splitting the
-  // source so generation itself runs on the workers — the demux below
-  // serializes fill() on this thread. Shared-generation parts must stay
-  // on one thread, so only independent (non-kShared) splits qualify; a
-  // source that cannot split falls through to the demux.
-  if (workers > 1 && source.split_kind() != SplitKind::kShared) {
-    const auto parts = source.split(plan_);
-    if (parts.size() == num_shards) {
-      if (source.split_kind() == SplitKind::kReplicated) {
-        warn_replicated_split(num_shards);
-      }
-      run_parts_threaded(parts, out, workers);
-      finalize(out);
-      out.total.wall_seconds = timer.seconds();
-      return out;
-    }
-  }
 
   std::vector<sim::AccountingSink> sinks;
   sinks.reserve(num_shards);
@@ -339,7 +250,7 @@ EngineResult ShardedEngine::run(RequestSource& source) {
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
-        if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
+        move_to_cpu(w, config_.pin_threads);  // same core as construction
         WorkerQueue& queue = queues[w];
         for (;;) {
           std::pair<std::size_t, std::vector<Request>> item;
@@ -459,12 +370,12 @@ void ShardedEngine::finalize(EngineResult& out) const {
 }
 
 EngineResult ShardedEngine::run_split(
-    std::span<const std::unique_ptr<RequestSource>> mirrors) {
+    std::span<const std::unique_ptr<RequestSource>> parts) {
   const std::size_t num_shards = plan_.num_shards();
-  TC_CHECK(mirrors.size() == num_shards,
+  TC_CHECK(parts.size() == num_shards,
            "run_split needs exactly one source per shard");
-  for (const auto& mirror : mirrors) {
-    TC_CHECK(mirror != nullptr, "run_split was handed a null source");
+  for (const auto& part : parts) {
+    TC_CHECK(part != nullptr, "run_split was handed a null source");
   }
   for (auto& alg : algs_) alg->reset();
 
@@ -477,226 +388,81 @@ EngineResult ShardedEngine::run_split(
   const std::size_t workers = num_shards == 1 ? 1 : effective_threads();
   out.threads = workers;
 
+  std::atomic<bool> failed{false};
   if (workers <= 1) {
-    // Sequential reference shape: each shard's loop is the exact
-    // fill → step → observe alternation of sim::run_source. Shards are
-    // interleaved round-robin, one chunk per pass, rather than run to
-    // exhaustion one by one: mirrors of a shared-generation split
-    // (SplitKind::kShared) pull from one producer, and draining shard 0
-    // first would buffer almost the whole stream for its siblings —
-    // interleaving keeps the producer's queues bounded by the inter-shard
-    // skew. Shards share no state, so the order is free and per-shard
-    // results are unchanged.
-    std::vector<Request> buffer(config_.batch);
-    std::vector<sim::AccountingSink> sinks;
-    sinks.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      sinks.emplace_back(out.per_shard[s], *algs_[s], mirrors[s].get());
-    }
-    std::vector<bool> done(num_shards, false);
-    std::size_t remaining = num_shards;
-    while (remaining > 0) {
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (done[s]) continue;
-        const std::size_t n =
-            mirrors[s]->fill({buffer.data(), buffer.size()});
-        if (n == 0) {
-          // fill() contract: 0 is final until reset — the shard is done
-          // even while its siblings keep consuming the shared stream.
-          done[s] = true;
-          --remaining;
-          continue;
-        }
-        step_shard(s, {buffer.data(), n}, sinks[s]);
-      }
-    }
+    drive_parts(parts, out, 0, 1, failed);
   } else {
-    run_split_threaded(mirrors, out, workers);
+    std::exception_ptr error;
+    std::mutex error_mutex;
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        move_to_cpu(w, config_.pin_threads);  // same core as construction
+        try {
+          drive_parts(parts, out, w, workers, failed);
+        } catch (...) {
+          {
+            const std::lock_guard<std::mutex> lock(error_mutex);
+            if (!error) error = std::current_exception();
+          }
+          failed.store(true, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (auto& worker : pool) worker.join();
+    if (error) std::rethrow_exception(error);
   }
   finalize(out);
   out.total.wall_seconds = timer.seconds();
   return out;
 }
 
-void ShardedEngine::run_split_threaded(
-    std::span<const std::unique_ptr<RequestSource>> mirrors,
-    EngineResult& out, std::size_t workers) {
-  const std::size_t num_shards = plan_.num_shards();
-  // Worker chunk queues carry at most one in-flight chunk per pinned shard
-  // (the producer refills a mirror only after draining its feedback), so
-  // unlike the open-loop demux they need no capacity bound — and must not
-  // have one: a producer blocked on chunk space could never drain the
-  // feedback a blocked worker is waiting on.
-  std::vector<WorkerQueue> queues(workers);
-  Feedback feedback(num_shards, config_.feedback);
-  std::exception_ptr worker_error;
-  std::mutex error_mutex;
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
-      WorkerQueue& queue = queues[w];
-      // One recycled flat buffer per worker: the publish() swap protocol
-      // rotates storage between worker and producer, so the steady state
-      // allocates nothing. A worker drains it fully after every chunk, so
-      // sharing it across this worker's pinned shards cannot mix outcomes.
-      OutcomeBuffer scratch;
-      for (;;) {
-        std::pair<std::size_t, std::vector<Request>> item;
-        {
-          std::unique_lock<std::mutex> lock(queue.mutex);
-          queue.ready.wait(lock, [&] {
-            return !queue.chunks.empty() || queue.done;
-          });
-          if (queue.chunks.empty()) return;  // done and drained
-          item = std::move(queue.chunks.front());
-          queue.chunks.pop_front();
-        }
-        const std::size_t s = item.first;
-        FeedbackSink sink(out.per_shard[s], *algs_[s], feedback, s,
-                          scratch);
-        try {
-          step_shard(s, item.second, sink);
-          sink.publish();  // the sub-bound tail of the chunk
-        } catch (const AbortRun&) {
-          return;  // torn down mid-chunk: shutdown, not an error
-        } catch (...) {
-          {
-            const std::lock_guard<std::mutex> lock(error_mutex);
-            if (!worker_error) worker_error = std::current_exception();
-          }
-          // Wake the producer (waiting on feedback.ready) and any peers
-          // blocked on a full outcome queue.
-          feedback.abort_and_drain();
-          return;
-        }
-      }
-    });
+void ShardedEngine::drive_parts(
+    std::span<const std::unique_ptr<RequestSource>> parts, EngineResult& out,
+    std::size_t worker, std::size_t workers,
+    const std::atomic<bool>& failed) {
+  // Worker w owns shards w, w+workers, ...: a shard is driven by one thread
+  // for the whole run, so its loop is the exact fill → step → observe
+  // alternation of sim::run_source, and a closed-loop part gets its own
+  // outcomes through the sink, in order. Owned shards are visited round
+  // robin rather than run to exhaustion one by one: parts of a
+  // shared-generation split (SplitKind::kShared) pull from one producer,
+  // and draining one shard first would buffer its siblings' share of the
+  // stream. A visit keeps filling while the part still holds input it has
+  // already taken (has_buffered), so only a shard with nothing left pulls
+  // more events for everyone — a shard that consumes few events per fill
+  // would otherwise fall ever further behind the others and its queue
+  // would grow with the run. Shards share no state, so the order is free
+  // and per-shard results are unchanged.
+  std::vector<std::size_t> owned;
+  std::vector<sim::AccountingSink> sinks;
+  for (std::size_t s = worker; s < plan_.num_shards(); s += workers) {
+    owned.push_back(s);
+    RequestSource* const observer =
+        parts[s]->is_closed_loop() ? parts[s].get() : nullptr;
+    sinks.emplace_back(out.per_shard[s], *algs_[s], observer);
   }
-
-  // Producer: fill every mirror whose previous chunk has fully fed back,
-  // dispatch to the shard's pinned worker, then drain the feedback rings
-  // into the mirrors' observe_batch() — per-shard FIFO order, one swap and
-  // one virtual call per published sub-chunk — which readies the next
-  // fill. Closed-loop strict alternation per shard, pipelined across
-  // shards.
-  enum class MirrorState : std::uint8_t { kReady, kInFlight, kDone };
-  std::vector<MirrorState> state(num_shards, MirrorState::kReady);
-  std::vector<std::size_t> expected(num_shards, 0);  // outcomes to drain
-  std::size_t active = num_shards;
-  std::size_t in_flight = 0;
-  std::vector<Request> chunk(config_.batch);
-  std::vector<OutcomeBuffer> drained(num_shards);
-  std::exception_ptr producer_error;
-  try {
-    while (active > 0) {
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (state[s] != MirrorState::kReady) continue;
-        const std::size_t n = mirrors[s]->fill({chunk.data(), chunk.size()});
+  std::vector<Request> buffer(config_.batch);
+  std::vector<bool> done(owned.size(), false);
+  std::size_t remaining = owned.size();
+  while (remaining > 0 && !failed.load(std::memory_order_relaxed)) {
+    for (std::size_t k = 0; k < owned.size(); ++k) {
+      RequestSource& part = *parts[owned[k]];
+      while (!done[k]) {
+        const std::size_t n = part.fill({buffer.data(), buffer.size()});
         if (n == 0) {
-          state[s] = MirrorState::kDone;
-          --active;
-          continue;
+          // fill() contract: 0 is final until reset — the shard is done
+          // even while its siblings keep consuming a shared stream.
+          done[k] = true;
+          --remaining;
+          break;
         }
-        WorkerQueue& queue = queues[s % workers];
-        {
-          const std::lock_guard<std::mutex> lock(queue.mutex);
-          queue.chunks.emplace_back(
-              s, std::vector<Request>(chunk.begin(),
-                                      chunk.begin() +
-                                          static_cast<std::ptrdiff_t>(n)));
-        }
-        queue.ready.notify_one();
-        expected[s] = n;
-        state[s] = MirrorState::kInFlight;
-        ++in_flight;
-      }
-      // Every active shard is now in flight (fills above leave a shard
-      // either dispatched or done), so in_flight == 0 implies active == 0.
-      if (in_flight == 0) break;
-      {
-        std::unique_lock<std::mutex> lock(feedback.mutex);
-        feedback.ready.wait(lock, [&] {
-          return feedback.pending > 0 || feedback.aborted;
-        });
-        if (feedback.aborted) break;  // a worker failed; rethrown below
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          // O(1) swap: the ring slot's storage moves out for draining and
-          // the (empty, capacity-bearing) drained buffer moves in, to be
-          // recycled by the next worker publish.
-          if (!feedback.rings[s].empty()) feedback.rings[s].swap(drained[s]);
-        }
-        feedback.pending = 0;
-      }
-      feedback.space.notify_all();
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (drained[s].empty()) continue;
-        mirrors[s]->observe_batch(drained[s].views());
-        expected[s] -= drained[s].size();
-        drained[s].clear();
-        if (expected[s] == 0 && state[s] == MirrorState::kInFlight) {
-          state[s] = MirrorState::kReady;
-          --in_flight;
-        }
+        step_shard(owned[k], {buffer.data(), n}, sinks[k]);
+        if (!part.has_buffered()) break;
       }
     }
-  } catch (...) {
-    producer_error = std::current_exception();
   }
-  // Shutdown. Drain the per-shard outcome queues and flip the abort flag
-  // BEFORE joining: a worker waiting out a full queue never checks the
-  // chunk queue's `done`, so joining without the drain deadlocks when the
-  // producer bailed mid-run (fill() threw, a worker failed, ...). Tested
-  // by the fault-injection case in tests/test_engine_closed_loop.cpp.
-  feedback.abort_and_drain();
-  for (auto& queue : queues) {
-    {
-      const std::lock_guard<std::mutex> lock(queue.mutex);
-      queue.done = true;
-    }
-    queue.ready.notify_one();
-  }
-  for (auto& worker : pool) worker.join();
-  if (producer_error) std::rethrow_exception(producer_error);
-  if (worker_error) std::rethrow_exception(worker_error);
-}
-
-void ShardedEngine::run_parts_threaded(
-    std::span<const std::unique_ptr<RequestSource>> parts,
-    EngineResult& out, std::size_t workers) {
-  const std::size_t num_shards = plan_.num_shards();
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      if (config_.pin_threads) pin_to_cpu(w);  // same core as construction
-      try {
-        std::vector<Request> buffer(config_.batch);
-        // Shard s is pinned to worker s % workers, like the demux path, so
-        // per-shard order is trivially the part's stream order. Parts are
-        // already shard-local (RequestSource::split remaps ids), so the
-        // loop is the plain fill → step_batch driver, one shard at a time.
-        for (std::size_t s = w; s < num_shards; s += workers) {
-          sim::AccountingSink sink(out.per_shard[s], *algs_[s], nullptr);
-          for (;;) {
-            const std::size_t n =
-                parts[s]->fill({buffer.data(), buffer.size()});
-            if (n == 0) break;
-            step_shard(s, {buffer.data(), n}, sink);
-          }
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : pool) worker.join();
-  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace treecache::engine

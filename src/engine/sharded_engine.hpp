@@ -3,10 +3,10 @@
 // A ShardedEngine owns one OnlineAlgorithm instance per shard of a
 // ShardPlan (each built by the registry over its shard tree, each with the
 // full per-instance capacity — the line-card model: every card holds its
-// own TCAM slice). run() pulls batches from a RequestSource on the caller
-// thread, routes every request to the shard owning its node, and lets
-// worker threads drain per-shard queues through the batched
-// OnlineAlgorithm::step_batch hot path.
+// own TCAM slice). Every request reaches the shard owning its node and is
+// stepped through the batched OnlineAlgorithm::step_batch hot path —
+// either from a per-shard part of the split source that the shard's
+// worker drives itself, or through a demux on the caller thread.
 //
 // Determinism contract: routing is a pure function of the requested node,
 // each shard consumes its subsequence in stream order (a shard is pinned
@@ -16,12 +16,13 @@
 // threads=1 demux. Tests enforce equality against independent per-shard
 // sequential runs and across thread counts.
 //
-// Open loops at scale: when the source can split (RequestSource::split)
-// and more than one worker is available, each worker self-drives its
-// shards' parts through fill → step_batch — request generation itself
-// runs on the workers instead of serializing on a demux thread. Sources
-// that cannot split keep the demux path (the caller thread routes batches
-// to per-shard queues). A multi-shard run over a replicated split
+// Split runs: when the source splits (RequestSource::split) into one part
+// per shard, worker w self-drives the parts of shards w, w+workers, ...
+// through fill → step_batch (→ observe_batch for closed loops) — request
+// generation runs on the workers, and threads=1 runs the same loop
+// inline. Open loops split whenever more than one worker is available;
+// sources that cannot split keep the demux path (the caller thread routes
+// batches to per-shard queues). A multi-shard run over a replicated split
 // (SplitKind::kReplicated — every part replays the whole stream) logs a
 // warning to stderr: it is correct, but pays the generation cost once per
 // shard.
@@ -29,19 +30,13 @@
 // Closed loops: with one shard the engine delegates to sim::run_source,
 // which feeds outcomes back to the source, so closed-loop sources (the FIB
 // router) run unchanged. With multiple shards a closed-loop source is
-// split into per-shard mirrors (RequestSource::split — for the FIB router
-// a SplitKind::kShared split: one event producer generates the stream
-// once, mirrors consume per-shard event queues) and run through a
-// per-shard outcome feedback loop: the producer thread fills each mirror
-// and dispatches the chunk to the shard's pinned worker; the worker steps
-// it, accumulating outcomes into a flattened OutcomeBuffer, and publishes
-// sub-chunks of at most EngineConfig::feedback outcomes into the shard's
-// single-slot feedback ring (an O(1) buffer swap — no per-outcome heap
-// copies); the producer drains the rings into the mirrors' observe_batch()
-// — in per-shard order — and refills a mirror only once its whole chunk
-// has fed back. Feedback never crosses shards, outcomes may complete out
-// of order globally, and each shard's closed loop is exactly the
-// sequential fill → step → observe alternation, so per-shard results are
+// split into per-shard mirrors (for the FIB router a SplitKind::kShared
+// split: one thread-safe event producer generates the stream once, each
+// mirror consumes its shard's events) and every mirror runs its own
+// fill → step → observe loop on the worker that owns its shard. The
+// worker's sink hands each outcome straight to the mirror, so feedback
+// never crosses shards or threads, and each shard's closed loop is exactly
+// the sequential alternation of sim::run_source: per-shard results are
 // bit-identical for every thread count and equal to independent per-shard
 // sequential runs (the differential suite in
 // tests/test_engine_closed_loop.cpp enforces this for every registered
@@ -49,6 +44,7 @@
 // with more than one shard.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
@@ -77,19 +73,14 @@ struct EngineConfig {
   /// kDriverBatchSize — the constructor normalizes this field accordingly,
   /// so config() reports the geometry actually used.
   std::size_t batch = sim::kDriverBatchSize;
-  /// Closed-loop runs only: a worker publishes its flattened outcomes to
-  /// the shard's feedback ring whenever this many have accumulated (and at
-  /// the end of each chunk), then waits for the producer to drain the ring
-  /// before publishing more. Small values backpressure workers instead of
-  /// growing memory; must be >= 1 (1 = per-outcome handoff).
-  std::size_t feedback = 1024;
   /// Pin worker w to CPU w % hardware_concurrency (Linux sched_setaffinity;
   /// a no-op elsewhere and when affinity is denied). Shard instances are
   /// then also *constructed* on their pinned worker, so each shard's
   /// NodeState block and scratch arena are first-touched — hence placed —
   /// on the core (and NUMA node) that runs it. Only effective when the run
   /// actually uses more than one worker; the constructor normalizes it to
-  /// false otherwise, so config() reports what was done.
+  /// false otherwise, so config() reports what was done. Unpinned workers
+  /// still start on CPU w % hardware_concurrency, then may migrate.
   bool pin_threads = false;
 };
 
@@ -119,20 +110,21 @@ class ShardedEngine {
 
   /// Resets every instance and runs `source` to exhaustion. See the header
   /// comment for the determinism and closed-loop contracts. A multi-shard
-  /// closed-loop source is split() into mirrors and routed through
-  /// run_split; it must be shardable or the run is refused. Paths that
-  /// split (closed loops; open loops with more than one worker) replay
-  /// the stream from its very beginning — pass a fresh or reset source.
+  /// source is split() and routed through run_split when it is closed-loop
+  /// (it must be shardable or the run is refused) or more than one worker
+  /// is available. Paths that split replay the stream from its very
+  /// beginning — pass a fresh or reset source.
   [[nodiscard]] EngineResult run(RequestSource& source);
 
   /// Resets every instance and runs one pre-split per-shard source per
-  /// shard (mirrors[s] feeds shard s's instance, already in shard-local
-  /// ids). Callers that need mirror-side state afterwards — e.g. per-shard
-  /// router statistics — split themselves and keep the mirrors; run() is
-  /// sugar over this for everyone else. Mirrors must be fresh (or reset)
-  /// and are run to exhaustion.
+  /// shard (parts[s] feeds shard s's instance, already in shard-local ids;
+  /// closed-loop parts observe their shard's outcomes). Callers that need
+  /// part-side state afterwards — e.g. per-shard router statistics — split
+  /// themselves and keep the parts; run() is sugar over this for everyone
+  /// else. Parts must be fresh (or reset) and are run to exhaustion; each
+  /// is driven by one thread at a time.
   [[nodiscard]] EngineResult run_split(
-      std::span<const std::unique_ptr<RequestSource>> mirrors);
+      std::span<const std::unique_ptr<RequestSource>> parts);
 
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
   /// The configuration as normalized by the constructor (see
@@ -155,16 +147,13 @@ class ShardedEngine {
   /// Sums per-shard results (already finalized from the instances) into
   /// out.total, in shard order — fixed order, bit-reproducible totals.
   void finalize(EngineResult& out) const;
-  void run_split_threaded(
-      std::span<const std::unique_ptr<RequestSource>> mirrors,
-      EngineResult& out, std::size_t workers);
-  /// Open-loop scale-out over split() parts: worker w self-drives the
-  /// parts of shards w, w+workers, ... to exhaustion — generation runs on
-  /// the workers, no demux in the middle. Parts must be independently
-  /// consumable (any SplitKind but kShared).
-  void run_parts_threaded(
-      std::span<const std::unique_ptr<RequestSource>> parts,
-      EngineResult& out, std::size_t workers);
+  /// The split-run worker loop: drives the parts of shards worker,
+  /// worker+workers, ... to exhaustion (or until `failed` is set), round
+  /// robin — a visit lasts while the part has_buffered() — accounting
+  /// into out.per_shard.
+  void drive_parts(std::span<const std::unique_ptr<RequestSource>> parts,
+                   EngineResult& out, std::size_t worker,
+                   std::size_t workers, const std::atomic<bool>& failed);
 
   ShardPlan plan_;
   EngineConfig config_;

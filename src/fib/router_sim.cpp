@@ -30,8 +30,7 @@ RouterSimResult run_router_sim(const RuleTree& rules, OnlineAlgorithm& alg,
       continue;
     }
 
-    const Address addr = sampler.sample_address(rng);
-    const NodeId full_match = rules.lpm(addr);
+    const auto [addr, full_match] = sampler.sample_address(rng);
     // The switch looks up the packet over its cached rules only.
     const auto cached_match = rules.trie.lookup_if(
         addr, [&](RuleId rule) { return alg.cache().contains(rule); });

@@ -69,11 +69,10 @@ std::size_t RouterEventProducer::pump(std::size_t budget) {
             .addr = 0, .node = rule, .kind = RouterEventKind::kUpdate});
       }
     } else {
-      const Address addr = sampler_.sample_address(rng_);
       // The full-table match is resolved here, once — mirrors never rerun
       // the global LPM. Packets whose match is the default rule belong to
       // shard 0 (the plan routes the root there), like every other match.
-      const NodeId match = rules_->lpm(addr);
+      const auto [addr, match] = sampler_.sample_address(rng_);
       ++packets_generated_;
       const std::size_t owner = plan_->shard_of(match);
       if (solo_shard_ == kAllShards || owner == solo_shard_) {
@@ -91,6 +90,25 @@ bool RouterEventProducer::pump_for(std::size_t shard) {
   return has_event(shard);
 }
 
+bool RouterEventProducer::take(std::size_t shard,
+                               std::vector<RouterEvent>& out) {
+  out.clear();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!pump_for(shard)) return false;
+  Queue& q = queues_[shard];
+  if (q.head == 0) {
+    // The common case: hand the whole queue over and keep the caller's
+    // (cleared) storage for the next events.
+    q.events.swap(out);
+  } else {
+    out.assign(q.events.begin() + static_cast<std::ptrdiff_t>(q.head),
+               q.events.end());
+    q.events.clear();
+  }
+  q.head = 0;
+  return true;
+}
+
 RouterEvent RouterEventProducer::pop(std::size_t shard) {
   Queue& q = queues_[shard];
   TC_CHECK(q.head < q.events.size(), "pop from an empty shard queue");
@@ -105,6 +123,7 @@ RouterEvent RouterEventProducer::pop(std::size_t shard) {
 }
 
 void RouterEventProducer::reset() {
+  const std::lock_guard<std::mutex> lock(mutex_);
   rng_ = start_rng_;
   packets_generated_ = 0;
   for (Queue& q : queues_) {
@@ -152,11 +171,16 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
   }
   if (n > 0) return n;
 
-  // Consume this shard's slice of the pre-generated global stream. The
-  // producer's termination is global — all mirrors stop after the same
-  // event — while stats_ counts only the events this shard owns.
-  while (producer_->pump_for(shard_)) {
-    const RouterEvent event = producer_->pop(shard_);
+  // Consume this shard's slice of the pre-generated global stream, one
+  // producer take per drained local buffer. The producer's termination is
+  // global — all mirrors stop after the same event — while stats_ counts
+  // only the events this shard owns.
+  for (;;) {
+    if (head_ == events_.size()) {
+      head_ = 0;
+      if (!producer_->take(shard_, events_)) return 0;
+    }
+    const RouterEvent event = events_[head_++];
     if (event.kind == RouterEventKind::kUpdate) {
       ++stats_.updates;
       if (cached_rule(event.node)) ++stats_.cached_updates;
@@ -192,11 +216,12 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
     // the next owned packet lookup depends on.
     return n;
   }
-  return 0;
 }
 
 void RouterMirrorSource::reset() {
   producer_->reset();
+  events_.clear();
+  head_ = 0;
   std::ranges::fill(cached_, 0);
   stats_ = {};
   pending_ = 0;

@@ -30,14 +30,21 @@
 // observe_batch() expects shard-local outcomes — a mirror plugs straight
 // into the shard's algorithm instance with no translation in the engine.
 //
-// Threading: the producer is deliberately lock-free-by-exclusivity — all
-// sibling mirrors must be consumed from one thread (the engine's run_split
-// producer thread), which is the SplitKind::kShared contract.
+// Threading: the shared producer is the only state sibling mirrors share,
+// so each mirror may be driven by its own thread (the engine's workers run
+// their shards' fill → step → observe loops side by side — the
+// SplitKind::kShared contract). A mirror consumes from a local event
+// buffer and refills it with one RouterEventProducer::take — a single
+// lock that pumps the shared stream until the shard has events and swaps
+// the shard's whole queue out. Generation stays serial and in the global
+// RNG order whatever the thread interleaving, so every shard sees the
+// same event sequence for every thread count.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/request_source.hpp"
@@ -67,7 +74,8 @@ struct RouterEvent {
 /// appears or the stream ends, so memory stays bounded by the skew between
 /// shards, not the stream length (drained queues recycle their storage).
 ///
-/// Single-threaded by design: all consumers share the caller's thread.
+/// take() and reset() are thread-safe; pump(), pump_for(), pop() and the
+/// queue inspectors are not, and serve single-threaded callers.
 class RouterEventProducer {
  public:
   /// `rules` and `plan` must outlive the producer.
@@ -87,6 +95,12 @@ class RouterEventProducer {
 
   /// Pops the next event owned by `shard` (callers check pump_for first).
   RouterEvent pop(std::size_t shard);
+
+  /// Thread-safe batch pop: under the producer's lock, pumps until `shard`
+  /// has events or the stream ends, then moves every queued event of the
+  /// shard into `out` (replacing its contents; its storage is recycled
+  /// as the shard's next queue). False when the shard's stream is over.
+  bool take(std::size_t shard, std::vector<RouterEvent>& out);
 
   [[nodiscard]] bool has_event(std::size_t shard) const {
     const Queue& q = queues_[shard];
@@ -130,6 +144,9 @@ class RouterEventProducer {
   const RuleTree* rules_;
   RouterSimConfig config_;
   const engine::ShardPlan* plan_;
+  /// Guards the generation state below (rng_, queues_, packets_generated_)
+  /// in take() and reset().
+  std::mutex mutex_;
   Rng rng_;        // seeded, then consumed by the sampler's setup
   PacketSampler sampler_;
   Rng start_rng_;  // rng_ state AFTER the sampler's permutation draw
@@ -157,7 +174,8 @@ class RouterMirrorSource final : public RequestSource {
 
   /// Producer-fed mirror sharing `producer` with its sibling shards (the
   /// shape RouterSource::split builds): generation runs once for all of
-  /// them. See the kShared contract in the header comment.
+  /// them, and siblings may run on different threads (see the header
+  /// comment).
   RouterMirrorSource(std::shared_ptr<RouterEventProducer> producer,
                      std::size_t shard);
 
@@ -167,6 +185,10 @@ class RouterMirrorSource final : public RequestSource {
   void reset() override;
   void observe_batch(std::span<const StepOutcome> outcomes) override;
   [[nodiscard]] bool is_closed_loop() const override { return true; }
+  /// True while α-chunk requests or events taken from the producer remain.
+  [[nodiscard]] bool has_buffered() const override {
+    return pending_ > 0 || head_ < events_.size();
+  }
 
   /// Statistics of the events this shard owns. Summing over all mirrors
   /// of a plan reconstructs the full event stream: every packet and every
@@ -187,6 +209,8 @@ class RouterMirrorSource final : public RequestSource {
   std::uint64_t alpha_;
   std::vector<std::uint8_t> cached_;  // by LOCAL id, incl. replica root
   RouterSimResult stats_;             // owned events only
+  std::vector<RouterEvent> events_;   // taken from the producer, in order
+  std::size_t head_ = 0;              // next unconsumed entry of events_
   NodeId pending_local_ = 0;
   std::uint64_t pending_ = 0;  // negatives left in the current α-chunk
 };

@@ -16,18 +16,25 @@ PacketSampler::PacketSampler(const RuleTree& rules, double zipf_skew,
         return ZipfRanking::shuffled(std::move(ids), zipf_skew, rng);
       }()) {}
 
-Address PacketSampler::sample_address(Rng& rng) const {
+PacketSampler::Packet PacketSampler::sample_address(Rng& rng) const {
   const NodeId rule = sample_rule(rng);
   const Prefix p = rules_->prefix[rule];
   const Address span_mask =
       p.length == 32 ? 0 : ((Address{1} << (32 - p.length)) - 1);
-  // A handful of rejection rounds keeps most packets on the sampled rule;
-  // residual hits land on a more specific child, which is fine.
   Address addr = p.bits | (static_cast<Address>(rng()) & span_mask);
-  for (int tries = 0; tries < 8 && rules_->lpm(addr) != rule; ++tries) {
+  // No rule is more specific than a leaf inside its prefix: the first
+  // draw matches it, no LPM needed.
+  if (rules_->tree.is_leaf(rule)) return {addr, rule};
+  // A handful of rejection rounds keeps most packets on the sampled rule;
+  // residual hits land on a more specific child, which is fine. Every try
+  // computes its draw's match, so only a draw that exhausts the tries
+  // needs one more LPM.
+  for (int tries = 0; tries < 8; ++tries) {
+    const NodeId match = rules_->lpm(addr);
+    if (match == rule) return {addr, match};
     addr = p.bits | (static_cast<Address>(rng()) & span_mask);
   }
-  return addr;
+  return {addr, rules_->lpm(addr)};
 }
 
 FibTraceSource::FibTraceSource(const RuleTree& rules,
@@ -54,8 +61,7 @@ std::size_t FibTraceSource::fill(std::span<Request> buffer) {
       pending_node_ = sampler_.sample_rule(rng_);
       pending_ = config_.alpha;
     } else {
-      buffer[n++] =
-          positive(rules_->lpm(sampler_.sample_address(rng_)));
+      buffer[n++] = positive(sampler_.sample_address(rng_).match);
     }
   }
   return n;
@@ -88,7 +94,7 @@ ChunkedTrace make_fib_workload(const RuleTree& rules,
       append_repeated(out.trace, negative(rule), config.alpha);
       out.chunks.emplace_back(begin, out.trace.size());
     } else {
-      out.trace.push_back(positive(rules.lpm(packets.sample_address(rng))));
+      out.trace.push_back(positive(packets.sample_address(rng).match));
     }
   }
   return out;

@@ -29,10 +29,17 @@ class PacketSampler {
     return ranking_->sample(rng);
   }
 
+  /// A drawn packet: its address and the address's full-table LPM match.
+  struct Packet {
+    Address addr = 0;
+    NodeId match = 0;
+  };
+
   /// Draws an address whose LPM is (usually) the sampled rule; if the
   /// rule's children cover the sampled address, the packet simply belongs
-  /// to the more specific rule — realistic either way.
-  [[nodiscard]] Address sample_address(Rng& rng) const;
+  /// to the more specific rule — realistic either way. The match comes
+  /// with the draw, so callers never rerun the full-table LPM.
+  [[nodiscard]] Packet sample_address(Rng& rng) const;
 
  private:
   const RuleTree* rules_;

@@ -98,8 +98,8 @@ util::Json to_json(const FibScenarioResult& result) {
       .set("seed", result.scenario.seed)
       .set("params", params_json(result.scenario.params))
       // Geometry of the closed-loop run (fib/2): planned shard count, the
-      // workers actually used, and the batching knobs. Results are
-      // invariant to threads/batch/feedback; shards > 1 reports the
+      // workers actually used, and the batch size. Results are
+      // invariant to threads/batch; shards > 1 reports the
       // line-card model's aggregate.
       .set("engine",
            util::Json::object()
@@ -107,9 +107,7 @@ util::Json to_json(const FibScenarioResult& result) {
                     std::uint64_t{result.scenario.engine.shards})
                .set("shards", std::uint64_t{result.shards})
                .set("threads", std::uint64_t{result.threads})
-               .set("batch", std::uint64_t{result.scenario.engine.batch})
-               .set("feedback",
-                    std::uint64_t{result.scenario.engine.feedback}))
+               .set("batch", std::uint64_t{result.scenario.engine.batch}))
       .set("result", util::Json::object()
                          .set("packets", r.packets)
                          .set("hits", r.hits)

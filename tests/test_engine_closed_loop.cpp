@@ -1,6 +1,7 @@
 // Closed-loop sharding, proven differentially: the sharded engine run of
-// the FIB router source — per-shard mirrors fed by per-shard outcome
-// feedback queues — must be bit-identical to the single-threaded
+// the FIB router source — per-shard mirrors off one shared event producer,
+// each running its own closed loop on its shard's worker — must be
+// bit-identical to the single-threaded
 // reference (each shard's mirror driven through sim::run_source on a
 // fresh instance, no engine machinery at all) for every registered
 // algorithm × shard count × thread count × traffic shape. Feedback-
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/outcome_buffer.hpp"
@@ -41,7 +43,8 @@ struct TrafficShape {
 constexpr TrafficShape kShapes[] = {{"fib", "0.01"}, {"fib-churn", "0.10"}};
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
-constexpr std::size_t kThreadCounts[] = {1, 2, 4};
+// 3 is the uneven mapping (8 shards on 3 workers) the benchmark runs.
+constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4};
 
 sim::Params diff_params(const TrafficShape& shape) {
   sim::Params p;
@@ -275,13 +278,116 @@ TEST(ClosedLoopSharding, ProducerPartitionsTheGlobalEventStream) {
   }
 }
 
+/// Order-sensitive digest of one shard's event sequence.
+struct EventDigest {
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
+  std::uint64_t events = 0;
+
+  void add(const fib::RouterEvent& event) {
+    for (const std::uint64_t word :
+         {std::uint64_t{event.addr}, std::uint64_t{event.node},
+          std::uint64_t{static_cast<std::uint8_t>(event.kind)}}) {
+      hash = (hash ^ word) * 1099511628211ULL;  // FNV-1a prime
+    }
+    ++events;
+  }
+  bool operator==(const EventDigest&) const = default;
+};
+
+TEST(ClosedLoopSharding, ConcurrentTakeMatchesSerialPump) {
+  // The thread-safe batch take: worker threads each draining their own
+  // shards of one shared producer, in whatever interleaving the scheduler
+  // picks, must hand every shard exactly the event sequence the
+  // single-threaded pump_for/pop loop yields — generation stays serial and
+  // in global RNG order, only its consumers run in parallel.
+  sim::Params params = diff_params(kShapes[1]);
+  params.set("rules", "400");
+  params.set("packets", "20000");
+  const fib::RuleTree rules = fib::rule_tree_from_params(params);
+  const fib::RouterSimConfig router = sim::fib_router_config(params, 47);
+  const engine::ShardPlan plan(rules.tree, 8);
+  ASSERT_EQ(plan.num_shards(), 8u);
+
+  std::vector<EventDigest> serial(plan.num_shards());
+  {
+    fib::RouterEventProducer producer(rules, router, plan);
+    for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+      while (producer.pump_for(s)) serial[s].add(producer.pop(s));
+    }
+  }
+  for (const EventDigest& digest : serial) ASSERT_GT(digest.events, 0u);
+
+  for (const std::size_t threads : {3u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    fib::RouterEventProducer producer(rules, router, plan);
+    std::vector<EventDigest> got(plan.num_shards());
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        // Round-robin one take per owned shard, as the engine's workers
+        // interleave their shards' fills.
+        std::vector<std::size_t> live;
+        for (std::size_t s = t; s < plan.num_shards(); s += threads) {
+          live.push_back(s);
+        }
+        std::vector<fib::RouterEvent> events;
+        while (!live.empty()) {
+          for (std::size_t k = 0; k < live.size();) {
+            if (!producer.take(live[k], events)) {
+              live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+              continue;
+            }
+            for (const fib::RouterEvent& event : events) {
+              got[live[k]].add(event);
+            }
+            ++k;
+          }
+        }
+      });
+    }
+    for (auto& thread : pool) thread.join();
+    for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+      EXPECT_EQ(got[s], serial[s]) << "shard " << s;
+    }
+    EXPECT_TRUE(producer.exhausted());
+  }
+}
+
+TEST(ClosedLoopSharding, MirrorReportsBufferedInput) {
+  // has_buffered() tells the engine a mirror can still be served from what
+  // it already holds — here, an α-chunk cut short by a one-request buffer
+  // — before a sibling pulls more of the shared stream.
+  sim::Params params = diff_params(kShapes[1]);
+  const fib::RuleTree rules = fib::rule_tree_from_params(params);
+  const fib::RouterSimConfig router = sim::fib_router_config(params, 8);
+  const engine::ShardPlan plan(rules.tree, 2);
+  fib::RouterMirrorSource mirror(rules, router, plan, 0);
+  const auto alg = sim::make_algorithm("tc", plan.shard_tree(0), params);
+  EXPECT_FALSE(mirror.has_buffered());
+
+  std::array<Request, 1> one{};
+  std::uint64_t negatives = 0;
+  while (mirror.fill(one) == 1) {
+    if (one[0].sign == Sign::kNegative) {
+      // Mid-chunk, the rest of the chunk is still buffered.
+      ++negatives;
+      if (negatives % router.alpha != 0) {
+        ASSERT_TRUE(mirror.has_buffered()) << "negative request " << negatives;
+      }
+    }
+    mirror.observe(alg->step(one[0]));
+  }
+  EXPECT_GT(negatives, 0u);
+  EXPECT_FALSE(mirror.has_buffered());
+}
+
 TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
   // Chunk-granularity feedback must be invisible to the closed loop: a
   // source fed one observe_batch per fill()-chunk stays in request-level
   // lockstep with a twin fed every outcome individually through the
   // scalar observe() forwarder, for the whole source and for every shard
   // mirror. The batched side buffers its outcomes through an
-  // OutcomeBuffer, exactly as the engine's feedback rings do.
+  // OutcomeBuffer.
   sim::Params params = diff_params(kShapes[1]);
   const fib::RuleTree rules = fib::rule_tree_from_params(params);
   const fib::RouterSimConfig router = sim::fib_router_config(params, 33);
@@ -376,12 +482,11 @@ TEST(ClosedLoopSharding, ShardedFibScenarioAggregatesMirrorStats) {
   EXPECT_EQ(again.router.algorithm_cost, got.router.algorithm_cost);
 }
 
-// --- Fault injection: producer-side throws -------------------------------
+// --- Fault injection: mirror-side throws ---------------------------------
 
 /// A shard mirror that misbehaves on demand: emits one scripted chunk per
-/// fill until exhausted, then (optionally) throws out of fill() — on the
-/// producer thread — while another shard's worker is still stepping and
-/// pushing outcomes into its bounded feedback queue.
+/// fill until exhausted, then (optionally) throws out of fill() — on its
+/// shard's worker — while another shard's worker is still mid-run.
 class ScriptedMirror final : public RequestSource {
  public:
   ScriptedMirror(std::vector<Request> requests, bool throw_after)
@@ -407,21 +512,19 @@ class ScriptedMirror final : public RequestSource {
   bool throw_after_ = false;
 };
 
-TEST(ClosedLoopSharding, ProducerThrowDrainsFeedbackQueuesBeforeJoin) {
+TEST(ClosedLoopSharding, MirrorThrowRethrowsWithoutDeadlock) {
   // Regression for the shutdown path: shard 0's worker is stepping a large
-  // chunk against a feedback bound of 1, so it spends the whole run blocked
-  // on a full outcome queue; shard 1's mirror then throws out of fill() on
-  // the producer thread. The engine must drain/abort the per-shard outcome
-  // queues before joining — otherwise the blocked worker never observes
-  // shutdown and join() deadlocks (this test then hangs, which is the
-  // point).
+  // chunk while shard 1's mirror throws out of fill() on its own worker.
+  // The engine must let every worker finish or stop, join them all, and
+  // rethrow the fault — a worker left waiting on a failed peer would hang
+  // join() (this test then hangs, which is the point).
   const Tree tree = trees::complete_kary(3, 2);  // two top-level subtrees
   sim::Params params;
   params.set("alpha", "2");
   params.set("capacity", "16");
   engine::ShardedEngine eng(
       tree, "tc", params,
-      {.shards = 2, .threads = 2, .batch = 512, .feedback = 1});
+      {.shards = 2, .threads = 2, .batch = 512});
   ASSERT_EQ(eng.plan().num_shards(), 2u);
 
   std::vector<Request> busywork;

@@ -204,6 +204,23 @@ TEST(RibGen, DeaggregationCreatesDepth) {
   EXPECT_GT(deep.tree.height(), flat.tree.height());
 }
 
+TEST(PacketSampler, MatchIsTheFullTableLpm) {
+  // The sampler hands back each draw's match instead of leaving callers to
+  // rerun the LPM: it must be exactly the trie's answer, on leaf and inner
+  // rules alike.
+  Rng rng(19);
+  const auto rib = generate_rib({.rules = 600, .deaggregation = 0.6}, rng);
+  const RuleTree rt = build_rule_tree(rib);
+  const PacketSampler sampler(rt, 1.0, rng);
+  std::size_t inner = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const PacketSampler::Packet packet = sampler.sample_address(rng);
+    ASSERT_EQ(packet.match, rt.lpm(packet.addr)) << "draw " << i;
+    inner += rt.tree.is_leaf(packet.match) ? 0 : 1;
+  }
+  EXPECT_GT(inner, 0u) << "no draw exercised the rejection loop";
+}
+
 TEST(RouterSim, NoForwardingErrorsAndConsistentCounts) {
   Rng rng(17);
   const auto rib = generate_rib({.rules = 500, .deaggregation = 0.5}, rng);

@@ -1,8 +1,8 @@
-// OutcomeBuffer — the flattened StepOutcome transport of the batched
-// feedback path. These tests pin the value contract the engine's rings
-// rely on: append deep-copies every span, views() reproduces the outcomes
-// field for field in append order, clear() recycles, and swap() moves
-// whole chunks in O(1) without mixing contents.
+// OutcomeBuffer — the flattened StepOutcome transport of batched
+// feedback. These tests pin its value contract: append deep-copies every
+// span, views() reproduces the outcomes field for field in append order,
+// clear() recycles, and swap() moves whole chunks in O(1) without mixing
+// contents.
 #include <gtest/gtest.h>
 
 #include <vector>
