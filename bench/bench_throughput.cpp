@@ -4,9 +4,11 @@
 // source sharded into per-shard mirrors, each running its own closed loop
 // on its shard's worker.
 // Open-loop rows share one Zipf stream over a tree with eight equal
-// top-level subtrees; closed-loop rows run the router event loop on a
-// synthetic RIB. The tc-batched layout pairs rerun the fib workload with
-// TC's frozen NodeId-keyed state (tc-legacy) next to the preorder SoA
+// top-level subtrees; the sharded rows generate it once and demux it into
+// bounded per-shard queues (inline for 8x1, one worker per core for 8xN).
+// Closed-loop rows run the router event loop on a synthetic RIB. The
+// tc-batched layout pairs rerun the fib workload with TC's frozen
+// NodeId-keyed state (tc-legacy) next to the preorder SoA
 // (tc) at 1x1 and 8xN — same costs bit for bit, only requests/sec moves.
 // The fib-real rows replay the checked-in RIB feed fixture (ingested
 // dump+update churn) through the same open-loop engine at 1x1 and 8xN.
@@ -457,8 +459,12 @@ int main() {
       "reading",
       "the batched no-observer hot path is the single-instance ceiling; "
       "8 contiguous-preorder shards keep the aggregate cost bit-identical "
-      "across thread counts while requests/sec scales with the worker "
-      "count (bounded by the machine's cores — see the threads column). "
+      "across thread counts. The sharded open-loop rows generate the "
+      "stream once: a demux producer routes it under one lock into "
+      "bounded per-shard queues that the workers drain, so sharded-8xN "
+      "pays one serial generation-and-routing pass plus parallel "
+      "stepping and should beat sharded-8x1 whenever spare cores exist "
+      "(bounded by the machine's cores — see the threads column). "
       "The fib-closed rows shard the feedback loop itself: one shared "
       "producer generates the event stream once into per-shard queues, and "
       "each worker runs its shards' mirrors through fill, step and observe "

@@ -50,16 +50,18 @@ class ShardPlan;  // engine/shard_plan.hpp
 
 namespace treecache {
 
-/// How RequestSource::split produced its per-shard parts — queryable so an
-/// engine can tell a genuine shared-generation split from the generic
-/// fork-per-shard fallback, which replays the FULL stream once per shard
-/// (an S× generation tax that silently eats the parallel speedup).
+/// How RequestSource::split produced its per-shard parts: a genuine
+/// shared-generation split, or the generic fork-per-shard replay, which
+/// generates the FULL stream once per shard (an S× generation tax).
+/// Descriptive only — the library no longer dispatches on it (the sharded
+/// engine splits only closed loops and demuxes open loops from one pass).
 enum class SplitKind : std::uint8_t {
   /// split() returns empty: the source only runs single-shard.
   kUnsplittable,
   /// Each part independently replays the whole stream behind a filter
   /// (the default fork()-based split). Correct, but generation cost
-  /// scales with the shard count.
+  /// scales with the shard count, so the engine never runs it across
+  /// shards: it is the replay API and the tests' reference partition.
   kReplicated,
   /// The parts share one generation pass over the stream (e.g. the FIB
   /// router's producer-fed mirrors, whose shared producer is thread-safe).
@@ -123,8 +125,8 @@ class RequestSource {
   /// A fresh instance that replays this source's stream from the very
   /// beginning (independent of how far `this` has been consumed), or
   /// nullptr when the source cannot duplicate itself. The default split()
-  /// below is built on this hook, so implementing fork() makes an
-  /// open-loop source shardable for free.
+  /// below is built on this hook. The sharded engine needs neither: it
+  /// borrows an open-loop source and demuxes its one stream.
   [[nodiscard]] virtual std::unique_ptr<RequestSource> fork() const {
     return nullptr;
   }
@@ -141,7 +143,10 @@ class RequestSource {
   /// independent replay of the whole stream behind a filter, so no state
   /// is shared between the parts and they may be consumed from different
   /// threads (SplitKind::kReplicated — generation cost scales with the
-  /// shard count). Closed-loop sources must override this with genuine
+  /// shard count). This is the replay API for callers that want
+  /// independent per-shard streams; the sharded engine does not split open
+  /// loops, it demuxes one generation pass (engine/sharded_engine.hpp).
+  /// Closed-loop sources must override this with genuine
   /// per-shard mirrors (e.g. fib::RouterSource, whose mirrors share one
   /// event producer — SplitKind::kShared) whose observe_batch() accepts
   /// shard-local outcomes; the default refuses them. An empty result
@@ -156,9 +161,9 @@ class RequestSource {
   [[nodiscard]] virtual std::vector<std::unique_ptr<RequestSource>> split(
       const engine::ShardPlan& plan) const;
 
-  /// What kind of parts split() would produce (advisory — diagnostics and
-  /// scheduling hints, not a correctness contract). The default matches
-  /// the generic split() above: open-loop sources replicate via fork(),
+  /// What kind of parts split() would produce (descriptive, not a
+  /// correctness contract; see SplitKind). The default matches the
+  /// generic split() above: open-loop sources replicate via fork(),
   /// closed-loop sources cannot split. Sources overriding split() should
   /// override this to match.
   [[nodiscard]] virtual SplitKind split_kind() const {

@@ -1,11 +1,10 @@
 #include "engine/sharded_engine.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <exception>
-#include <iostream>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -50,44 +49,156 @@ int move_to_cpu(std::size_t w, bool pin) {
 #endif
 }
 
-/// Bound on chunks buffered per worker: enough to keep workers busy while
-/// the demux refills, small enough that a slow shard backpressures the
-/// producer instead of ballooning memory.
-constexpr std::size_t kMaxQueuedChunks = 16;
-
-/// FIFO of (shard, chunk) pairs feeding one worker. A shard is pinned to
-/// exactly one worker, so per-shard order is the queue order.
-struct WorkerQueue {
-  std::mutex mutex;
-  std::condition_variable ready;  // consumer: work available or shutdown
-  std::condition_variable space;  // producer: below the chunk bound
-  std::deque<std::pair<std::size_t, std::vector<Request>>> chunks;
-  bool done = false;
-};
-
-/// The once-per-process latch for warn_replicated_split below; the rearm
-/// hook (tests) lives in the header.
-std::atomic<bool> g_replicated_split_warned{false};
-
-/// stderr diagnostic for the split_kind() satellite contract: a replicated
-/// split is correct but regenerates the whole stream once per shard.
-/// Deduplicated process-wide — a sweep or multi-run process hitting the
-/// fallback across many runs prints it once, not once per run.
-void warn_replicated_split(std::size_t shards) {
-  if (g_replicated_split_warned.exchange(true)) return;
-  std::cerr << "treecache: warning: multi-shard run falls back to "
-               "replicated generation (RequestSource::split cloned the "
-               "stream for each of "
-            << shards
-            << " shards); generation cost scales with the shard count — "
-               "see RequestSource::split_kind() (warned once per process)\n";
-}
-
 }  // namespace
 
-void rearm_replicated_split_warning() {
-  g_replicated_split_warned.store(false);
-}
+/// Generates an open-loop stream ONCE for every shard — the open-loop twin
+/// of fib::RouterEventProducer. Under one lock, take() pumps blocks of
+/// sim::kDriverBatchSize requests from the borrowed source into per-shard
+/// rings of shard-local requests until the asking shard has one (or the
+/// stream ends), then copies them straight into the caller's step buffer.
+/// Generation is serial and in stream order, so each shard sees its exact
+/// subsequence. Nothing is pumped while a queue holds kDemuxQueueCap
+/// requests: a take for an empty shard whose worker owns a full queue
+/// returns 0 ("not yet", finished() false) so the worker drains that queue
+/// first, and one that finds only other workers' queues full waits. The
+/// owner of a full queue never waits (no deadlock), nor does one worker.
+class DemuxProducer {
+ public:
+  DemuxProducer(RequestSource& source, const ShardPlan& plan,
+                std::size_t workers)
+      : source_(&source), plan_(&plan), workers_(workers) {
+    queues_.resize(plan.num_shards());
+    for (Queue& q : queues_) q.ring.resize(kRing);
+  }
+
+  /// One shard's slice of the stream; fill() returns 0 at the end and
+  /// while not yet ready (drive_parts asks finished()).
+  class Part final : public RequestSource {
+   public:
+    Part(DemuxProducer& producer, std::size_t shard)
+        : producer_(&producer), shard_(shard) {}
+
+    [[nodiscard]] std::size_t fill(std::span<Request> buffer) override {
+      return producer_->take(shard_, buffer, buffered_);
+    }
+    void reset() override {
+      TC_CHECK(false, "a demuxed shard part cannot replay its stream");
+    }
+    [[nodiscard]] bool has_buffered() const override { return buffered_; }
+
+   private:
+    DemuxProducer* producer_;
+    std::size_t shard_;
+    bool buffered_ = false;  // the last take left requests in the queue
+  };
+
+  /// Copies up to out.size() of shard's queued requests into `out` and
+  /// returns how many; `more` tells whether the queue still holds some. A
+  /// throw from the source or the routing stops the run and propagates.
+  std::size_t take(std::size_t shard, std::span<Request> out, bool& more) {
+    more = false;
+    std::unique_lock<std::mutex> lock(mutex_);
+    Queue& q = queues_[shard];
+    const std::size_t worker = shard % workers_;
+    while (q.size == 0 && !exhausted_ && !stopped_) {
+      const Full full = full_queue(worker);
+      if (full == Full::kOwn) return 0;  // not yet: drain that one first
+      if (full == Full::kOther) {
+        space_.wait(lock);
+        continue;
+      }
+      try {
+        pump();
+      } catch (...) {
+        stopped_ = true;
+        space_.notify_all();
+        throw;
+      }
+    }
+    if (stopped_) return 0;
+    const bool was_full = q.size >= kDemuxQueueCap;
+    const std::size_t n = std::min(out.size(), q.size);
+    const std::size_t first = std::min(n, kRing - q.head);
+    std::copy_n(q.ring.begin() + static_cast<std::ptrdiff_t>(q.head), first,
+                out.begin());
+    std::copy_n(q.ring.begin(), n - first, out.begin() + first);
+    q.head = (q.head + n) % kRing;
+    q.size -= n;
+    more = q.size > 0;
+    if (was_full && q.size < kDemuxQueueCap) space_.notify_all();
+    return n;
+  }
+
+  /// True once shard has nothing left: its queue is empty and the stream
+  /// is over, or the run stopped.
+  [[nodiscard]] bool finished(std::size_t shard) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return stopped_ || (exhausted_ && queues_[shard].size == 0);
+  }
+
+  /// Ends the run early (a worker failed): every take returns 0, and none
+  /// waits on a worker that will never drain its queue.
+  void stop() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopped_ = true;
+    space_.notify_all();
+  }
+
+  /// Most requests ever queued for one shard (read after the run).
+  [[nodiscard]] std::size_t high_water() const { return high_water_; }
+
+ private:
+  /// Ring size: a pump starts with every queue below the cap and adds at
+  /// most one block.
+  static constexpr std::size_t kRing = kDemuxQueueCap + sim::kDriverBatchSize;
+
+  struct Queue {
+    std::vector<Request> ring;  // kRing slots, shard-local ids
+    std::size_t head = 0;       // oldest queued request
+    std::size_t size = 0;
+  };
+
+  /// Which full queue, if any, blocks a pump: one of `worker`'s own (it
+  /// drains that first), only other workers' (it waits), or none.
+  enum class Full : std::uint8_t { kNone, kOwn, kOther };
+  [[nodiscard]] Full full_queue(std::size_t worker) const {
+    Full full = Full::kNone;
+    for (std::size_t s = 0; s < queues_.size(); ++s) {
+      if (queues_[s].size < kDemuxQueueCap) continue;
+      if (s % workers_ == worker) return Full::kOwn;
+      full = Full::kOther;
+    }
+    return full;
+  }
+
+  /// Routes one block of the source into the queues.
+  void pump() {
+    const std::size_t n = source_->fill(block_);
+    if (n == 0) {
+      exhausted_ = true;
+      space_.notify_all();  // waiters' shards may be finished now
+      return;
+    }
+    const std::span<const NodeId> local = plan_->local_ids();
+    for (std::size_t i = 0; i < n; ++i) {
+      const Request r = block_[i];
+      Queue& q = queues_[plan_->shard_of(r.node)];
+      q.ring[(q.head + q.size++) % kRing] = {local[r.node], r.sign};
+    }
+    for (const Queue& q : queues_) high_water_ = std::max(high_water_, q.size);
+  }
+
+  RequestSource* source_;
+  const ShardPlan* plan_;
+  std::size_t workers_;
+  std::mutex mutex_;
+  std::condition_variable space_;
+  std::vector<Queue> queues_;  // one per shard
+  std::array<Request, sim::kDriverBatchSize> block_;
+  std::size_t high_water_ = 0;
+  bool exhausted_ = false;
+  bool stopped_ = false;
+};
 
 ShardedEngine::ShardedEngine(const Tree& tree, const std::string& algorithm,
                              const sim::Params& params, EngineConfig config)
@@ -164,183 +275,43 @@ std::size_t ShardedEngine::effective_threads() const {
 
 EngineResult ShardedEngine::run(RequestSource& source) {
   const std::size_t num_shards = plan_.num_shards();
-  // Closed loops must split into one mirror per shard, so each shard's
-  // feedback stays local (see the header comment). Open loops split when
-  // more than one worker can run the parts: generation then runs on the
-  // workers instead of serializing on a demux. A split replays the stream
-  // from the start, which is what run() means anyway.
-  if (num_shards > 1 &&
-      (source.is_closed_loop() || effective_threads() > 1)) {
-    const auto parts = source.split(plan_);
-    if (parts.size() == num_shards) {
-      if (source.split_kind() == SplitKind::kReplicated) {
-        warn_replicated_split(num_shards);
-      }
-      return run_split(parts);
-    }
-    TC_CHECK(!source.is_closed_loop(),
-             "closed-loop source cannot split into per-shard mirrors "
-             "(RequestSource::split); run it with a single shard");
-  }
-  for (auto& alg : algs_) alg->reset();
-
-  EngineResult out;
-  out.shards = num_shards;
-  out.pinned = config_.pin_threads;
-  out.worker_cpus = worker_cpus_;
-  const Stopwatch timer;
-
   if (num_shards == 1) {
     // Unsharded: the plain driver, which also feeds closed-loop sources.
-    out.threads = 1;
+    algs_[0]->reset();
+    EngineResult out = start_result(1);
+    const Stopwatch timer;
     out.per_shard.push_back(sim::run_source(*algs_[0], source));
     out.total = out.per_shard.front();
     out.total.wall_seconds = timer.seconds();
-    // Per-shard results uniformly carry no wall time (only the aggregate
-    // does), matching the multi-shard path.
-    out.per_shard.front().wall_seconds = 0.0;
     return out;
   }
-
-  // An open-loop source with one worker, or one that cannot split: the
-  // caller thread demuxes.
-  const std::size_t workers = effective_threads();
-  out.threads = workers;
-  out.per_shard.resize(num_shards);
-
-  std::vector<sim::AccountingSink> sinks;
-  sinks.reserve(num_shards);
+  if (source.is_closed_loop()) {
+    // One mirror per shard, so each shard's feedback stays local (see the
+    // header comment). The split replays the stream from its start.
+    const auto parts = source.split(plan_);
+    TC_CHECK(parts.size() == num_shards,
+             "closed-loop source cannot split into per-shard mirrors "
+             "(RequestSource::split); run it with a single shard");
+    return run_split(parts);
+  }
+  // Open loop: generate the stream once and demux it into per-shard parts.
+  DemuxProducer demux(source, plan_, effective_threads());
+  std::vector<std::unique_ptr<RequestSource>> parts;
+  parts.reserve(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    sinks.emplace_back(out.per_shard[s], *algs_[s], nullptr);
+    parts.push_back(std::make_unique<DemuxProducer::Part>(demux, s));
   }
+  EngineResult out = drive(parts, &demux);
+  out.queue_high_water = demux.high_water();
+  return out;
+}
 
-  // Per-shard demux buffers, flushed to the shard's executor when full.
-  std::vector<std::vector<Request>> pending(num_shards);
-  for (auto& p : pending) p.reserve(config_.batch);
-  std::array<Request, sim::kDriverBatchSize> buffer;
-
-  if (workers <= 1) {
-    // Sequential demux: identical routing and per-shard chunking, stepped
-    // inline. Per-shard results match the threaded path by construction.
-    const auto flush = [&](std::size_t s) {
-      step_shard(s, pending[s], sinks[s]);
-      pending[s].clear();
-    };
-    for (;;) {
-      const std::size_t n = source.fill(buffer);
-      if (n == 0) break;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t s = plan_.shard_of(buffer[i].node);
-        pending[s].push_back(plan_.to_local(buffer[i]));
-        if (pending[s].size() >= config_.batch) flush(s);
-      }
-    }
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (!pending[s].empty()) flush(s);
-    }
-  } else {
-    // Threaded: shard s is pinned to worker s % workers; the caller thread
-    // demuxes and the workers drain their queues through step_batch.
-    std::vector<WorkerQueue> queues(workers);
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        move_to_cpu(w, config_.pin_threads);  // same core as construction
-        WorkerQueue& queue = queues[w];
-        for (;;) {
-          std::pair<std::size_t, std::vector<Request>> item;
-          {
-            std::unique_lock<std::mutex> lock(queue.mutex);
-            queue.ready.wait(lock, [&] {
-              return !queue.chunks.empty() || queue.done;
-            });
-            if (queue.chunks.empty()) return;  // done and drained
-            item = std::move(queue.chunks.front());
-            queue.chunks.pop_front();
-          }
-          queue.space.notify_one();
-          try {
-            step_shard(item.first, item.second, sinks[item.first]);
-          } catch (...) {
-            {
-              const std::lock_guard<std::mutex> lock(error_mutex);
-              if (!error) error = std::current_exception();
-            }
-            // The producer may be blocked on this queue's bound; flip
-            // `failed` under the queue mutex so it cannot evaluate the wait
-            // predicate between the store and the wakeup (a lost notify
-            // would deadlock run()), then wake it.
-            {
-              const std::lock_guard<std::mutex> lock(queue.mutex);
-              failed.store(true, std::memory_order_relaxed);
-            }
-            queue.space.notify_all();
-            return;
-          }
-        }
-      });
-    }
-
-    const auto enqueue = [&](std::size_t s) {
-      WorkerQueue& queue = queues[s % workers];
-      {
-        std::unique_lock<std::mutex> lock(queue.mutex);
-        queue.space.wait(lock, [&] {
-          return queue.chunks.size() < kMaxQueuedChunks ||
-                 failed.load(std::memory_order_relaxed);
-        });
-        queue.chunks.emplace_back(s, std::move(pending[s]));
-      }
-      queue.ready.notify_one();
-      pending[s] = {};
-      pending[s].reserve(config_.batch);
-    };
-
-    // A demux-side throw (source.fill, shard_of on an out-of-range node)
-    // must not unwind past joinable workers — that would std::terminate.
-    // Capture it, run the regular shutdown, and rethrow after the join.
-    std::exception_ptr producer_error;
-    try {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t n = source.fill(buffer);
-        if (n == 0) break;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t s = plan_.shard_of(buffer[i].node);
-          pending[s].push_back(plan_.to_local(buffer[i]));
-          if (pending[s].size() >= config_.batch) enqueue(s);
-        }
-      }
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        if (!pending[s].empty() &&
-            !failed.load(std::memory_order_relaxed)) {
-          enqueue(s);
-        }
-      }
-    } catch (...) {
-      producer_error = std::current_exception();
-    }
-    for (auto& queue : queues) {
-      {
-        const std::lock_guard<std::mutex> lock(queue.mutex);
-        queue.done = true;
-      }
-      queue.ready.notify_one();
-      // A failed run may leave a producer-side wait pending in theory;
-      // wake it so shutdown cannot stall.
-      queue.space.notify_all();
-    }
-    for (auto& worker : pool) worker.join();
-    if (producer_error) std::rethrow_exception(producer_error);
-    if (error) std::rethrow_exception(error);
-  }
-
-  finalize(out);
-  out.total.wall_seconds = timer.seconds();
+EngineResult ShardedEngine::start_result(std::size_t workers) const {
+  EngineResult out;
+  out.shards = plan_.num_shards();
+  out.threads = workers;
+  out.pinned = config_.pin_threads;
+  out.worker_cpus = worker_cpus_;
   return out;
 }
 
@@ -351,9 +322,6 @@ void ShardedEngine::finalize(EngineResult& out) const {
     sim::RunResult& r = out.per_shard[s];
     r.cost = algs_[s]->cost();
     r.final_cache_size = algs_[s]->cache().size();
-    // Per-shard results uniformly carry no wall time; only the aggregate
-    // does (some paths, e.g. run_source per shard, measure one).
-    r.wall_seconds = 0.0;
     out.total.cost += r.cost;
     out.total.rounds += r.rounds;
     out.total.paid_requests += r.paid_requests;
@@ -371,26 +339,27 @@ void ShardedEngine::finalize(EngineResult& out) const {
 
 EngineResult ShardedEngine::run_split(
     std::span<const std::unique_ptr<RequestSource>> parts) {
-  const std::size_t num_shards = plan_.num_shards();
-  TC_CHECK(parts.size() == num_shards,
+  TC_CHECK(parts.size() == plan_.num_shards(),
            "run_split needs exactly one source per shard");
   for (const auto& part : parts) {
     TC_CHECK(part != nullptr, "run_split was handed a null source");
   }
-  for (auto& alg : algs_) alg->reset();
+  return drive(parts, nullptr);
+}
 
-  EngineResult out;
-  out.shards = num_shards;
-  out.pinned = config_.pin_threads;
-  out.worker_cpus = worker_cpus_;
+EngineResult ShardedEngine::drive(
+    std::span<const std::unique_ptr<RequestSource>> parts,
+    DemuxProducer* demux) {
+  for (auto& alg : algs_) alg->reset();
+  const std::size_t num_shards = plan_.num_shards();
+  const std::size_t workers = num_shards == 1 ? 1 : effective_threads();
+  EngineResult out = start_result(workers);
   out.per_shard.resize(num_shards);
   const Stopwatch timer;
-  const std::size_t workers = num_shards == 1 ? 1 : effective_threads();
-  out.threads = workers;
 
   std::atomic<bool> failed{false};
   if (workers <= 1) {
-    drive_parts(parts, out, 0, 1, failed);
+    drive_parts(parts, demux, out, 0, 1, failed);
   } else {
     std::exception_ptr error;
     std::mutex error_mutex;
@@ -400,13 +369,15 @@ EngineResult ShardedEngine::run_split(
       pool.emplace_back([&, w] {
         move_to_cpu(w, config_.pin_threads);  // same core as construction
         try {
-          drive_parts(parts, out, w, workers, failed);
+          drive_parts(parts, demux, out, w, workers, failed);
         } catch (...) {
           {
             const std::lock_guard<std::mutex> lock(error_mutex);
             if (!error) error = std::current_exception();
           }
           failed.store(true, std::memory_order_relaxed);
+          // No sibling may keep waiting for this worker to drain a queue.
+          if (demux != nullptr) demux->stop();
         }
       });
     }
@@ -419,22 +390,19 @@ EngineResult ShardedEngine::run_split(
 }
 
 void ShardedEngine::drive_parts(
-    std::span<const std::unique_ptr<RequestSource>> parts, EngineResult& out,
-    std::size_t worker, std::size_t workers,
-    const std::atomic<bool>& failed) {
+    std::span<const std::unique_ptr<RequestSource>> parts,
+    DemuxProducer* demux, EngineResult& out, std::size_t worker,
+    std::size_t workers, const std::atomic<bool>& failed) {
   // Worker w owns shards w, w+workers, ...: a shard is driven by one thread
   // for the whole run, so its loop is the exact fill → step → observe
   // alternation of sim::run_source, and a closed-loop part gets its own
   // outcomes through the sink, in order. Owned shards are visited round
-  // robin rather than run to exhaustion one by one: parts of a
-  // shared-generation split (SplitKind::kShared) pull from one producer,
-  // and draining one shard first would buffer its siblings' share of the
-  // stream. A visit keeps filling while the part still holds input it has
-  // already taken (has_buffered), so only a shard with nothing left pulls
-  // more events for everyone — a shard that consumes few events per fill
-  // would otherwise fall ever further behind the others and its queue
-  // would grow with the run. Shards share no state, so the order is free
-  // and per-shard results are unchanged.
+  // robin: the parts of a shared generation pass (run()'s demux,
+  // SplitKind::kShared splits) pull from one producer, and draining one
+  // shard first would buffer its siblings' share of the stream. A visit
+  // keeps filling while the part has_buffered(), so only a shard with
+  // nothing left pulls more for everyone. Shards share no state, so the
+  // order is free and per-shard results are unchanged.
   std::vector<std::size_t> owned;
   std::vector<sim::AccountingSink> sinks;
   for (std::size_t s = worker; s < plan_.num_shards(); s += workers) {
@@ -448,19 +416,25 @@ void ShardedEngine::drive_parts(
   std::size_t remaining = owned.size();
   while (remaining > 0 && !failed.load(std::memory_order_relaxed)) {
     for (std::size_t k = 0; k < owned.size(); ++k) {
+      if (done[k]) continue;
       RequestSource& part = *parts[owned[k]];
-      while (!done[k]) {
+      const Stopwatch visit;
+      for (;;) {
         const std::size_t n = part.fill({buffer.data(), buffer.size()});
         if (n == 0) {
-          // fill() contract: 0 is final until reset — the shard is done
-          // even while its siblings keep consuming a shared stream.
-          done[k] = true;
-          --remaining;
+          // 0 is final (fill() contract) — except from a demux part that
+          // waits for this worker to drain another shard's full queue.
+          if (demux == nullptr || demux->finished(owned[k])) {
+            done[k] = true;
+            --remaining;
+          }
           break;
         }
         step_shard(owned[k], {buffer.data(), n}, sinks[k]);
         if (!part.has_buffered()) break;
       }
+      // The shard's own time: its fills (demux pumping included) and steps.
+      out.per_shard[owned[k]].wall_seconds += visit.seconds();
     }
   }
 }

@@ -5,27 +5,29 @@
 // full per-instance capacity — the line-card model: every card holds its
 // own TCAM slice). Every request reaches the shard owning its node and is
 // stepped through the batched OnlineAlgorithm::step_batch hot path —
-// either from a per-shard part of the split source that the shard's
-// worker drives itself, or through a demux on the caller thread.
+// from a per-shard part that the shard's worker drives itself.
 //
 // Determinism contract: routing is a pure function of the requested node,
 // each shard consumes its subsequence in stream order (a shard is pinned
 // to one worker; queues are FIFO), and shard instances share no state — so
 // every per-shard RunResult, and therefore the aggregate, is bit-identical
-// regardless of the worker-thread count, including the sequential
-// threads=1 demux. Tests enforce equality against independent per-shard
+// regardless of the worker-thread count, including the inline threads=1
+// run. Tests enforce equality against independent per-shard
 // sequential runs and across thread counts.
 //
-// Split runs: when the source splits (RequestSource::split) into one part
-// per shard, worker w self-drives the parts of shards w, w+workers, ...
-// through fill → step_batch (→ observe_batch for closed loops) — request
-// generation runs on the workers, and threads=1 runs the same loop
-// inline. Open loops split whenever more than one worker is available;
-// sources that cannot split keep the demux path (the caller thread routes
-// batches to per-shard queues). A multi-shard run over a replicated split
-// (SplitKind::kReplicated — every part replays the whole stream) logs a
-// warning to stderr: it is correct, but pays the generation cost once per
-// shard.
+// Open loops: with more than one shard the engine generates the stream
+// ONCE. run() borrows the caller's source and wraps it in a demux
+// producer: one lock guards a take() that pumps request blocks from the
+// source, routes each request to its shard's queue in shard-local ids, and
+// copies the asking shard's queued requests straight into its worker's
+// step buffer. Worker w drives the parts of shards w, w+workers, ...
+// through fill → step_batch, and threads=1 runs the same loop inline.
+// Each queue is a fixed ring of kDemuxQueueCap plus one block: nothing is
+// pumped while a queue is full, so a worker whose own queue is full
+// drains it first, and one that finds only other workers' queues full
+// waits for them (the owner of a full queue never waits). Sources need no
+// fork(), and RequestSource::split — the replay API, where every part
+// regenerates the whole stream — is never called for an open loop.
 //
 // Closed loops: with one shard the engine delegates to sim::run_source,
 // which feeds outcomes back to the source, so closed-loop sources (the FIB
@@ -68,7 +70,7 @@ struct EngineConfig {
   /// Worker threads for the sharded path; 0 picks one per shard, capped at
   /// the hardware concurrency. Never more than one worker per shard.
   std::size_t threads = 1;
-  /// Demux chunk size: requests handed to one shard per step_batch call.
+  /// Chunk size: at most this many requests per step_batch call.
   /// Single-shard plans run through sim::run_source, whose batch is always
   /// kDriverBatchSize — the constructor normalizes this field accordingly,
   /// so config() reports the geometry actually used.
@@ -87,9 +89,10 @@ struct EngineConfig {
 struct EngineResult {
   /// Aggregate over shards: costs and tallies are sums, max_cache_size is
   /// the largest single-instance peak, final_cache_size the total cached
-  /// across instances, wall_seconds the engine wall time (per-shard results
-  /// carry no wall time of their own).
+  /// across instances, wall_seconds the engine wall time.
   sim::RunResult total;
+  /// Per-shard results; wall_seconds is the time the shard's fills and
+  /// steps took on its worker.
   std::vector<sim::RunResult> per_shard;
   std::size_t shards = 0;
   std::size_t threads = 0;  // workers actually used
@@ -98,7 +101,20 @@ struct EngineResult {
   /// when the affinity call failed (reported, not fatal).
   bool pinned = false;
   std::vector<int> worker_cpus;
+  /// Most requests the open-loop demux held queued for one shard; 0 when
+  /// the run had no demux (one shard, closed loops, run_split).
+  std::size_t queue_high_water = 0;
 };
+
+/// Requests the open-loop demux queues for one shard before it stops
+/// pumping: one fill block, so a slow shard backpressures generation
+/// instead of ballooning memory (2 and 4 blocks measured the same
+/// throughput and more peak RSS on an 8-shard, 4-core run). A queue holds
+/// at most the cap plus one block (the pump that crossed it), whatever
+/// the skew between shards.
+inline constexpr std::size_t kDemuxQueueCap = sim::kDriverBatchSize;
+
+class DemuxProducer;  // sharded_engine.cpp: run()'s open-loop demux
 
 class ShardedEngine {
  public:
@@ -109,11 +125,11 @@ class ShardedEngine {
                 const sim::Params& params, EngineConfig config);
 
   /// Resets every instance and runs `source` to exhaustion. See the header
-  /// comment for the determinism and closed-loop contracts. A multi-shard
-  /// source is split() and routed through run_split when it is closed-loop
-  /// (it must be shardable or the run is refused) or more than one worker
-  /// is available. Paths that split replay the stream from its very
-  /// beginning — pass a fresh or reset source.
+  /// comment for the determinism, open-loop and closed-loop contracts. A
+  /// multi-shard closed-loop source is split() and routed through
+  /// run_split (it must be shardable or the run is refused); its split
+  /// replays the stream from the very beginning — pass a fresh or reset
+  /// source. An open-loop source is consumed from where it stands.
   [[nodiscard]] EngineResult run(RequestSource& source);
 
   /// Resets every instance and runs one pre-split per-shard source per
@@ -144,16 +160,26 @@ class ShardedEngine {
                   OutcomeSink& sink);
 
   [[nodiscard]] std::size_t effective_threads() const;
+  /// An empty result with the run's geometry filled in.
+  [[nodiscard]] EngineResult start_result(std::size_t workers) const;
   /// Sums per-shard results (already finalized from the instances) into
   /// out.total, in shard order — fixed order, bit-reproducible totals.
   void finalize(EngineResult& out) const;
-  /// The split-run worker loop: drives the parts of shards worker,
+  /// Resets every instance and runs one part per shard on the workers;
+  /// `demux` (run()'s open-loop producer, or null) is stopped when a
+  /// worker fails, so no take() waits on a queue nobody will drain.
+  [[nodiscard]] EngineResult drive(
+      std::span<const std::unique_ptr<RequestSource>> parts,
+      DemuxProducer* demux);
+  /// The worker loop: drives the parts of shards worker,
   /// worker+workers, ... to exhaustion (or until `failed` is set), round
   /// robin — a visit lasts while the part has_buffered() — accounting
-  /// into out.per_shard.
+  /// into out.per_shard. A demux part's 0 fill ends its shard only once
+  /// `demux` says the shard is finished.
   void drive_parts(std::span<const std::unique_ptr<RequestSource>> parts,
-                   EngineResult& out, std::size_t worker,
-                   std::size_t workers, const std::atomic<bool>& failed);
+                   DemuxProducer* demux, EngineResult& out,
+                   std::size_t worker, std::size_t workers,
+                   const std::atomic<bool>& failed);
 
   ShardPlan plan_;
   EngineConfig config_;
@@ -166,9 +192,5 @@ class ShardedEngine {
   /// concrete TreeCache (the step_shard fast path), non-owning.
   std::vector<TreeCache*> tc_;
 };
-
-/// Re-arms the once-per-process "replicated generation" stderr warning
-/// (it deduplicates across runs and call sites). Test hook only.
-void rearm_replicated_split_warning();
 
 }  // namespace treecache::engine

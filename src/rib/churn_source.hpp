@@ -11,9 +11,10 @@
 //   ... [tail lookups]
 //
 // Open loop with an exact size_hint; fork() replays the identical stream
-// (the replay itself is shared immutably), so the default fork-based
-// split makes the source shardable (SplitKind::kReplicated) and runs
-// bit-identically across every shard/thread geometry.
+// (the replay itself is shared immutably). The sharded engine demuxes the
+// one stream across shards, so runs are bit-identical across every
+// shard/thread geometry; the default fork-based split
+// (SplitKind::kReplicated) gives independent per-shard replays.
 #pragma once
 
 #include <cstdint>

@@ -159,7 +159,9 @@ util::Json throughput_json(const Scenario& scenario,
                .set("batch", std::uint64_t{config.batch})
                .set("pin", result.pinned)
                .set("affinity", std::move(affinity))
-               .set("kernels", std::string(kernels::active().name)))
+               .set("kernels", std::string(kernels::active().name))
+               .set("queue_high_water",
+                    std::uint64_t{result.queue_high_water}))
       .set("result", to_json(result.total))
       .set("per_shard", std::move(per_shard));
 }

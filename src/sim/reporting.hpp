@@ -69,7 +69,8 @@ void print_note(std::string_view label, std::string_view value);
 
 /// Full sharded-engine document (schema treecache.throughput/1): the
 /// scenario, the engine geometry (requested and planned shard counts,
-/// workers, batch), the aggregate result and one entry per shard. A
+/// workers, batch) with the open-loop demux's queue high-water mark, the
+/// aggregate result and one entry per shard (its own wall time included). A
 /// trace-driven run (empty scenario.workload) passes the file in
 /// `trace_path`, recorded inside the scenario object exactly as
 /// treecache.run/2 records it.

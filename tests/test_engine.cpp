@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "fib/router_source.hpp"
 #include "rib/workloads.hpp"
 #include "sim/registry.hpp"
+#include "sim/reporting.hpp"
 #include "sim/simulator.hpp"
 #include "tree/tree_builder.hpp"
 #include "workload/generators.hpp"
@@ -384,48 +386,168 @@ TEST(ShardedEngine, PinningIsNormalizedOffForSequentialRuns) {
   EXPECT_TRUE(result.worker_cpus.empty());
 }
 
-TEST(ShardedEngine, WarnsWhenSplitFallsBackToReplication) {
-  // An open-loop source whose split() merely forks the stream per shard
-  // (SplitKind::kReplicated) regenerates it S times; the engine says so
-  // on stderr — once per process, however many runs replicate (a sweep
-  // over a replicating workload must not spam one line per cell).
-  // Shared-generation splits stay quiet.
-  const Tree tree = trees::complete_kary(3, 4);
-  const sim::Params params = engine_params();
-  {
-    engine::ShardedEngine eng(tree, "tc", params,
-                              {.shards = 4, .threads = 2});
-    // Other tests in this binary may already have consumed the
-    // once-per-process warning; re-arm so this run is the first.
-    engine::rearm_replicated_split_warning();
-    const auto source = sim::make_source("zipf", tree, params, 7);
-    EXPECT_EQ(source->split_kind(), SplitKind::kReplicated);
-    testing::internal::CaptureStderr();
-    (void)eng.run(*source);
-    const std::string first = testing::internal::GetCapturedStderr();
-    EXPECT_NE(first.find("replicated generation"), std::string::npos);
-    // Deduplicated: the identical second run stays silent.
-    source->reset();
-    testing::internal::CaptureStderr();
-    (void)eng.run(*source);
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+/// Counts the requests an open-loop stream delivers, its forks' included,
+/// into one shared tally.
+class CountingSource final : public RequestSource {
+ public:
+  CountingSource(std::unique_ptr<RequestSource> inner,
+                 std::shared_ptr<std::uint64_t> delivered)
+      : inner_(std::move(inner)), delivered_(std::move(delivered)) {}
+  [[nodiscard]] std::size_t fill(std::span<Request> buffer) override {
+    const std::size_t n = inner_->fill(buffer);
+    *delivered_ += n;
+    return n;
   }
-  {
-    const sim::Params fib_params = smoke_params();
-    const fib::RuleTree rt = fib::rule_tree_from_params(fib_params);
-    engine::ShardedEngine eng(rt.tree, "tc", fib_params,
-                              {.shards = 4, .threads = 2});
-    fib::RouterSource closed(rt, fib::RouterSimConfig{.packets = 200});
-    EXPECT_EQ(closed.split_kind(), SplitKind::kShared);
-    testing::internal::CaptureStderr();
-    (void)eng.run(closed);
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  void reset() override { inner_->reset(); }
+  [[nodiscard]] std::unique_ptr<RequestSource> fork() const override {
+    return std::make_unique<CountingSource>(inner_->fork(), delivered_);
+  }
+
+ private:
+  std::unique_ptr<RequestSource> inner_;
+  std::shared_ptr<std::uint64_t> delivered_;
+};
+
+TEST(ShardedEngine, OpenLoopStreamIsGeneratedOnce) {
+  // The engine demuxes one generation pass across the shards: the source
+  // delivers each request exactly once, whatever the worker count (a
+  // fork-per-shard split would deliver it once per shard). Each shard
+  // still sees exactly its ShardFilterSource part of the stream.
+  const Tree tree = trees::complete_kary(4, 8);
+  const sim::Params params = engine_params();
+  const std::uint64_t length = params.get_u64("length", 0);
+
+  std::vector<sim::RunResult> reference;
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    engine::ShardedEngine eng(tree, "tc", params,
+                              {.shards = 8, .threads = threads,
+                               .batch = 256});
+    const engine::ShardPlan& plan = eng.plan();
+    ASSERT_EQ(plan.num_shards(), 8u);
+    if (reference.empty()) {
+      const auto whole = sim::make_source("zipf", tree, params, 41);
+      const auto parts = whole->split(plan);
+      ASSERT_EQ(parts.size(), plan.num_shards());
+      for (std::size_t s = 0; s < parts.size(); ++s) {
+        const auto alg =
+            sim::make_algorithm("tc", plan.shard_tree(s), params);
+        reference.push_back(sim::run_source(*alg, *parts[s]));
+      }
+    }
+    auto delivered = std::make_shared<std::uint64_t>(0);
+    CountingSource source(sim::make_source("zipf", tree, params, 41),
+                          delivered);
+    const engine::EngineResult result = eng.run(source);
+    EXPECT_EQ(*delivered, length) << "threads " << threads;
+    EXPECT_EQ(result.total.rounds, length) << "threads " << threads;
+    EXPECT_GT(result.queue_high_water, 0u) << "threads " << threads;
+    ASSERT_EQ(result.per_shard.size(), reference.size());
+    for (std::size_t s = 0; s < reference.size(); ++s) {
+      EXPECT_EQ(result.per_shard[s], reference[s])
+          << "shard " << s << " threads " << threads;
+    }
   }
 }
 
-/// Strips fork() (and with it the default split()) off an inner stream, so
-/// the engine's threaded split fast path cannot apply and it must fall
-/// back to demuxing on the caller's thread.
+TEST(ShardedEngine, DemuxQueuesStayBoundedUnderSkew) {
+  // 90% of the stream goes to shard 0, the rest round robin over the
+  // other seven; in the second half every request is shard 0's. Workers
+  // that own only cold shards outrun shard 0's owner and must wait, and a
+  // worker asking for a silent shard must drain its own full queue
+  // instead of pumping the hot shard's backlog into it without bound —
+  // at threads 1 too, where one worker owns every shard.
+  const Tree tree = trees::complete_kary(4, 8);
+  const sim::Params params = engine_params();
+  const engine::ShardPlan plan(tree, 8);
+  ASSERT_EQ(plan.num_shards(), 8u);
+  std::vector<std::vector<NodeId>> nodes(plan.num_shards());
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    nodes[plan.shard_of(v)].push_back(v);
+  }
+  Rng rng(19);
+  Trace trace;
+  for (std::size_t i = 0; i < 200000; ++i) {
+    const std::size_t s = i % 10 != 0 || i >= 100000 ? 0 : 1 + (i / 10) % 7;
+    const NodeId v = rng.pick(nodes[s]);
+    trace.push_back(rng.chance(0.2) ? negative(v) : positive(v));
+  }
+
+  std::vector<engine::EngineResult> results;
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    engine::ShardedEngine eng(tree, "tc", params,
+                              {.shards = 8, .threads = threads});
+    TraceSource source{std::span<const Request>(trace)};
+    results.push_back(eng.run(source));
+    const engine::EngineResult& result = results.back();
+    EXPECT_EQ(result.total.rounds, trace.size()) << "threads " << threads;
+    EXPECT_GT(result.queue_high_water, 0u) << "threads " << threads;
+    EXPECT_LE(result.queue_high_water,
+              engine::kDemuxQueueCap + sim::kDriverBatchSize)
+        << "threads " << threads;
+    ASSERT_EQ(result.per_shard.size(), results.front().per_shard.size());
+    for (std::size_t s = 0; s < result.per_shard.size(); ++s) {
+      EXPECT_EQ(result.per_shard[s], results.front().per_shard[s])
+          << "shard " << s << " threads " << threads;
+    }
+  }
+}
+
+/// Delivers an open-loop stream, then throws once `limit` requests are out.
+class ThrowingSource final : public RequestSource {
+ public:
+  ThrowingSource(std::unique_ptr<RequestSource> inner, std::uint64_t limit)
+      : inner_(std::move(inner)), limit_(limit) {}
+  [[nodiscard]] std::size_t fill(std::span<Request> buffer) override {
+    if (delivered_ >= limit_) throw std::runtime_error("source failed");
+    const std::size_t n = inner_->fill(buffer);
+    delivered_ += n;
+    return n;
+  }
+  void reset() override {
+    inner_->reset();
+    delivered_ = 0;
+  }
+
+ private:
+  std::unique_ptr<RequestSource> inner_;
+  std::uint64_t limit_;
+  std::uint64_t delivered_ = 0;
+};
+
+TEST(ShardedEngine, OpenLoopSourceThrowRethrowsWithoutDeadlock) {
+  // A failure on the generation side — the source throws, or a request
+  // names a node outside the plan — surfaces from run() after every
+  // worker has stopped, and leaves the engine fit for the next run.
+  const Tree tree = trees::complete_kary(4, 8);
+  const sim::Params params = engine_params();
+  Trace bad = sim::make_workload("zipf", tree, params, 43);
+  bad[bad.size() / 2] = positive(static_cast<NodeId>(tree.size()));
+
+  for (const std::size_t threads : {1u, 4u}) {
+    engine::ShardedEngine eng(tree, "tc", params,
+                              {.shards = 8, .threads = threads,
+                               .batch = 256});
+    ThrowingSource throwing(sim::make_source("zipf", tree, params, 43),
+                            params.get_u64("length", 0) / 2);
+    EXPECT_THROW((void)eng.run(throwing), std::runtime_error)
+        << "threads " << threads;
+    TraceSource out_of_range{std::span<const Request>(bad)};
+    EXPECT_THROW((void)eng.run(out_of_range), CheckFailure)
+        << "threads " << threads;
+
+    const auto healthy = sim::make_source("zipf", tree, params, 43);
+    const engine::EngineResult result = eng.run(*healthy);
+    engine::ShardedEngine fresh(tree, "tc", params,
+                                {.shards = 8, .threads = 1});
+    const auto again = sim::make_source("zipf", tree, params, 43);
+    EXPECT_EQ(result.total, fresh.run(*again).total)
+        << "threads " << threads;
+  }
+}
+
+/// Strips fork() (and with it the default split()) off an inner stream.
+/// The engine borrows an open-loop source instead of splitting it, so a
+/// forkless source runs the same demux as a forkable one.
 class ForklessSource final : public RequestSource {
  public:
   explicit ForklessSource(std::unique_ptr<RequestSource> inner)
@@ -507,11 +629,37 @@ TEST(ShardedEngine, ReportsWallTimeAndThroughput) {
   const engine::EngineResult result = eng.run(*source);
   EXPECT_GT(result.total.wall_seconds, 0.0);
   EXPECT_GT(result.total.requests_per_second(), 0.0);
+  // Each shard reports the time its own fills and steps took.
+  for (const sim::RunResult& shard : result.per_shard) {
+    EXPECT_GT(shard.wall_seconds, 0.0);
+    EXPECT_LE(shard.wall_seconds, result.total.wall_seconds);
+  }
   // Wall time is measured, not accounted: it never breaks result equality.
   sim::RunResult a = result.total;
   sim::RunResult b = result.total;
   b.wall_seconds = a.wall_seconds + 1.0;
   EXPECT_EQ(a, b);
+}
+
+TEST(ShardedEngine, ThroughputDocumentReportsShardTimesAndHighWater) {
+  const Tree tree = trees::complete_kary(3, 4);
+  const sim::Params params = engine_params();
+  const engine::EngineConfig config{.shards = 4, .threads = 2};
+  engine::ShardedEngine eng(tree, "tc", params, config);
+  const auto source = sim::make_source("zipf", tree, params, 3);
+  const engine::EngineResult result = eng.run(*source);
+  ASSERT_GT(result.queue_high_water, 0u);
+  const std::string doc =
+      sim::throughput_json({.algorithm = "tc", .workload = "zipf",
+                            .params = params, .seed = 3},
+                           eng.config(), eng.plan(), result)
+          .dump();
+  EXPECT_NE(doc.find("\"queue_high_water\": " +
+                     std::to_string(result.queue_high_water)),
+            std::string::npos);
+  // Per-shard wall time and throughput are measured, not zero.
+  EXPECT_EQ(doc.find("\"wall_seconds\": 0,"), std::string::npos);
+  EXPECT_EQ(doc.find("\"requests_per_second\": 0}"), std::string::npos);
 }
 
 // --- step_batch ≡ scalar step --------------------------------------------

@@ -180,9 +180,8 @@ TEST(RegisteredWorkloads, SplitPartitionsEveryStreamByShard) {
     const Trace whole = materialize(*source);
     ASSERT_FALSE(whole.empty());
 
-    // A shardable stream must say so: split_kind() is the engine's
-    // dispatch signal, and "unsplittable" from a workload whose split()
-    // works would silently refuse multi-shard runs.
+    // split_kind() must agree with split(): a workload whose split()
+    // works must not call itself unsplittable.
     EXPECT_NE(source->split_kind(), SplitKind::kUnsplittable);
 
     // Splitting AFTER the parent was drained: parts replay from round one
