@@ -9,8 +9,11 @@ namespace treecache::rib {
 template <typename PrefixT>
 BasicChurnReplay<PrefixT> make_churn_replay(
     const BasicIngest<PrefixT>& ingest) {
-  fib::BasicRuleTree<PrefixT> fib_tree = fib::build_rule_tree(
-      std::vector<PrefixT>(ingest.touched.begin(), ingest.touched.end()));
+  // Live routes plus every churned prefix is every prefix the feed named;
+  // build_rule_tree sorts, dedupes and drops /0.
+  std::vector<PrefixT> named = ingest.rib.prefixes();
+  named.insert(named.end(), ingest.churn.begin(), ingest.churn.end());
+  fib::BasicRuleTree<PrefixT> fib_tree = fib::build_rule_tree(std::move(named));
   std::vector<NodeId> churn_nodes;
   churn_nodes.reserve(ingest.churn.size());
   for (const PrefixT& p : ingest.churn) {

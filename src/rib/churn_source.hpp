@@ -40,9 +40,10 @@ struct BasicChurnReplay {
 using ChurnReplay = BasicChurnReplay<fib::Prefix>;
 using ChurnReplay6 = BasicChurnReplay<fib::Prefix6>;
 
-/// Builds a family's replay from its ingest: rule tree over `touched`,
-/// churn prefixes resolved to node ids (every churned prefix is in
-/// `touched`, so resolution cannot miss).
+/// Builds a family's replay from its ingest: the rule tree over the live
+/// routes plus the churned prefixes (together, every prefix the feed
+/// named), and the churn prefixes resolved to node ids (each is in the
+/// tree, so resolution cannot miss; a /0 maps to the root).
 template <typename PrefixT>
 [[nodiscard]] BasicChurnReplay<PrefixT> make_churn_replay(
     const BasicIngest<PrefixT>& ingest);

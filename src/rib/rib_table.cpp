@@ -75,32 +75,28 @@ std::pair<std::uint32_t, bool> BasicRibTable<PrefixT>::find(
 
 template <typename PrefixT>
 std::vector<PrefixT> BasicRibTable<PrefixT>::prefixes() const {
+  // Nodes are only ever appended, each after its parent, so one pass in
+  // index order meets every node after its prefix is known: a sequential
+  // sweep where a walk down the child links would miss the cache at every
+  // step. The final sort pins the rebuild input order regardless of
+  // insertion history.
+  std::vector<PrefixT> path(nodes_.size());  // path[i]: node i's prefix
   std::vector<PrefixT> out;
   out.reserve(routes_);
-  // Iterative DFS carrying the path (bits, depth); child order makes the
-  // walk deterministic, and the final sort pins the rebuild input order
-  // regardless of insertion history.
-  struct Frame {
-    std::uint32_t node;
-    PrefixT prefix;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{0, PrefixT{}});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[frame.node];
-    if (node.occupied) out.push_back(frame.prefix);
-    for (int branch = 1; branch >= 0; --branch) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    const PrefixT prefix = path[i];
+    if (node.occupied) out.push_back(prefix);
+    for (int branch = 0; branch < 2; ++branch) {
       const std::uint32_t child = node.child[branch];
       if (child == 0) continue;
-      PrefixT next = frame.prefix;
+      PrefixT next = prefix;
       if (branch == 1) {
         next.bits = next.bits | (typename PrefixT::Bits{1}
                                  << (PrefixT::kWidth - 1 - next.length));
       }
       next.length = static_cast<std::uint8_t>(next.length + 1);
-      stack.push_back(Frame{child, next});
+      path[child] = next;
     }
   }
   std::sort(out.begin(), out.end(), [](const PrefixT& a, const PrefixT& b) {

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "rib/churn_source.hpp"
 #include "rib/feed.hpp"
 #include "rib/ingest.hpp"
 #include "util/check.hpp"
@@ -68,8 +69,9 @@ IngestResult ingest_records(const std::vector<FeedRecord>& records) {
   return out;
 }
 
-/// Structural equality of two ingests (stats, live routes, churn) — the
-/// "same RIB either way" oracle for format equivalence.
+/// Structural equality of two ingests (stats, live routes, churn, and
+/// the replay FIB built from them) — the "same RIB either way" oracle for
+/// format equivalence.
 void expect_same_ingest(const IngestResult& a, const IngestResult& b) {
   EXPECT_EQ(a.records, b.records);
   const auto same_family = [](const auto& fa, const auto& fb) {
@@ -79,8 +81,12 @@ void expect_same_ingest(const IngestResult& a, const IngestResult& b) {
     EXPECT_EQ(fa.stats.withdraw_misses, fb.stats.withdraw_misses);
     EXPECT_EQ(fa.stats.replaced_routes, fb.stats.replaced_routes);
     EXPECT_EQ(fa.rib.prefixes(), fb.rib.prefixes());
-    EXPECT_EQ(fa.touched, fb.touched);
     EXPECT_EQ(fa.churn, fb.churn);
+    const auto ra = make_churn_replay(fa);
+    const auto rb = make_churn_replay(fb);
+    EXPECT_EQ(ra.fib.tree.parent_array(), rb.fib.tree.parent_array());
+    EXPECT_EQ(ra.fib.prefix, rb.fib.prefix);
+    EXPECT_EQ(ra.churn_nodes, rb.churn_nodes);
   };
   same_family(a.v4, b.v4);
   same_family(a.v6, b.v6);

@@ -1,24 +1,30 @@
 // The fib-real replay path end to end over the checked-in fixture feeds:
-// ingest, stream shape, source determinism (reset/fork/size_hint),
-// bit-identical engine runs across shard and thread geometries, and the
-// Appendix B canonicalization bound on a real-churn IPv6 trace — the
-// wide-key wind through prefix_trie, rule_tree and canonicalizer.
+// ingest, the replay tree against a rule tree over every named prefix on
+// random mixed feeds, stream shape, source determinism
+// (reset/fork/size_hint), bit-identical engine runs across shard and
+// thread geometries, and the Appendix B canonicalization bound on a
+// real-churn IPv6 trace — the wide-key wind through prefix_trie,
+// rule_tree and canonicalizer.
 #include "rib/churn_source.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/tree_cache.hpp"
 #include "engine/sharded_engine.hpp"
 #include "fib/canonicalizer.hpp"
+#include "fib/rule_tree.hpp"
 #include "rib/ingest.hpp"
 #include "rib/workloads.hpp"
 #include "sim/registry.hpp"
@@ -65,12 +71,130 @@ TEST(FixtureFeeds, IngestEndToEnd) {
   EXPECT_FALSE(both.v4.empty());
   EXPECT_FALSE(both.v6.empty());
 
-  // touched ⊇ live ∪ churned: every churn event resolves in the replay.
+  // The replay tree holds every live route (plus the root): every churn
+  // event resolves in it.
   const ChurnReplay replay = make_churn_replay(both.v4);
   EXPECT_EQ(replay.churn_nodes.size(), both.v4.stats.updates());
-  EXPECT_GE(both.v4.touched.size(), both.v4.rib.size());
+  EXPECT_GE(replay.fib.tree.size(), both.v4.rib.size());
   for (const NodeId node : replay.churn_nodes) {
     ASSERT_LT(node, replay.fib.tree.size());
+  }
+}
+
+/// A prefix pool for one family: a few random addresses cut at every
+/// `step`-th length from /`min_length` to /`max_length`, so most
+/// prefixes nest.
+template <typename PrefixT>
+std::vector<PrefixT> nested_pool(Rng& rng, unsigned min_length,
+                                 unsigned max_length, unsigned step) {
+  using Family = fib::AddressFamily<typename PrefixT::Bits>;
+  std::vector<PrefixT> pool;
+  for (int base = 0; base < 3; ++base) {
+    const auto addr = Family::random(rng);
+    for (unsigned length = min_length; length <= max_length; length += step) {
+      pool.push_back(PrefixT::make(addr, static_cast<std::uint8_t>(length)));
+    }
+  }
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  return pool;
+}
+
+/// One family's random records: dumps (duplicates and dumps after updates
+/// included), announces and withdraws over `pool`, and withdraws of
+/// `ghosts`, longer prefixes nothing else names (always misses). A fixed
+/// tail adds a /0 announce and withdraw, a withdraw then re-announce and
+/// a late dump, so every seed covers each case.
+template <typename PrefixT>
+std::vector<FeedRecord> mixed_records(Rng& rng, bool v6,
+                                      const std::vector<PrefixT>& pool,
+                                      const std::vector<PrefixT>& ghosts,
+                                      std::size_t n) {
+  std::vector<FeedRecord> out;
+  const auto record = [&](FeedOp op, const PrefixT& p) {
+    FeedRecord r{.op = op, .v6 = v6, .next_hop = NextHop(rng.below(8))};
+    if constexpr (std::is_same_v<PrefixT, fib::Prefix6>) {
+      r.prefix6 = p;
+    } else {
+      r.prefix4 = p;
+    }
+    out.push_back(r);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double op = rng.uniform01();
+    if (op < 0.4) {
+      record(FeedOp::kDump, rng.pick(pool));
+    } else if (op < 0.75) {
+      record(FeedOp::kAnnounce, rng.pick(pool));
+    } else {
+      record(FeedOp::kWithdraw, rng.chance(0.2) ? rng.pick(ghosts)
+                                                : rng.pick(pool));
+    }
+  }
+  record(FeedOp::kAnnounce, PrefixT{});
+  record(FeedOp::kWithdraw, PrefixT{});
+  record(FeedOp::kWithdraw, pool.back());
+  record(FeedOp::kAnnounce, pool.back());
+  record(FeedOp::kDump, pool.front());
+  record(FeedOp::kWithdraw, ghosts.front());
+  return out;
+}
+
+/// The replay must equal the rule tree over a set of every prefix the
+/// feed named, with each churn prefix resolved in it (/0 to the root).
+template <typename PrefixT>
+void expect_replay_over_named(const BasicIngest<PrefixT>& ingest,
+                              const std::set<PrefixT>& named) {
+  const fib::BasicRuleTree<PrefixT> oracle = fib::build_rule_tree(
+      std::vector<PrefixT>(named.begin(), named.end()));
+  std::vector<NodeId> oracle_churn;
+  for (const PrefixT& p : ingest.churn) {
+    oracle_churn.push_back(oracle.trie.exact(p).value_or(0));
+  }
+  const auto replay = make_churn_replay(ingest);
+  EXPECT_EQ(replay.fib.tree.parent_array(), oracle.tree.parent_array());
+  EXPECT_EQ(replay.fib.prefix, oracle.prefix);
+  EXPECT_EQ(replay.churn_nodes, oracle_churn);
+}
+
+TEST(ChurnReplay, TreeIsTheRuleTreeOverEveryNamedPrefix) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto pool4 = nested_pool<fib::Prefix>(rng, 0, 24, 1);
+    const auto ghosts4 = nested_pool<fib::Prefix>(rng, 25, 32, 1);
+    const auto pool6 = nested_pool<fib::Prefix6>(rng, 0, 64, 4);
+    const auto ghosts6 = nested_pool<fib::Prefix6>(rng, 68, 128, 12);
+    const std::vector<FeedRecord> feed4 =
+        mixed_records(rng, false, pool4, ghosts4, 400);
+    const std::vector<FeedRecord> feed6 =
+        mixed_records(rng, true, pool6, ghosts6, 400);
+    // Interleave the families, keeping each family's own order.
+    std::vector<FeedRecord> feed;
+    for (std::size_t i = 0, j = 0; i < feed4.size() || j < feed6.size();) {
+      const bool take4 =
+          j == feed6.size() || (i < feed4.size() && rng.chance(0.5));
+      feed.push_back(take4 ? feed4[i++] : feed6[j++]);
+    }
+
+    IngestResult ingest;
+    std::set<fib::Prefix> named4;
+    std::set<fib::Prefix6> named6;
+    for (const FeedRecord& r : feed) {
+      ingest.apply(r);
+      if (r.v6) {
+        named6.insert(r.prefix6);
+      } else {
+        named4.insert(r.prefix4);
+      }
+    }
+    // The feed exercised what the derivation has to get right.
+    EXPECT_GT(ingest.v4.stats.withdraw_misses, 0u);
+    EXPECT_GT(ingest.v6.stats.withdraw_misses, 0u);
+    EXPECT_GT(named4.size(), ingest.v4.rib.size() + 1);
+    EXPECT_GT(named6.size(), ingest.v6.rib.size() + 1);
+    expect_replay_over_named(ingest.v4, named4);
+    expect_replay_over_named(ingest.v6, named6);
   }
 }
 

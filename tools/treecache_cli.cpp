@@ -32,10 +32,10 @@
 //              feed(s) — text or binary MRT, sniffed per file — into
 //              per-family radix RIBs (route_add/route_delete), rebuilds
 //              the replay FIBs, and reports routes, churn, bytes,
-//              routes/sec and tree depth histograms (schema
-//              treecache.ingest/1). --follow tail-polls the last file
-//              for growth and stops after --idle-ms with no new bytes
-//              (0 = follow until killed)
+//              routes/sec, tree depth histograms and the ingest and
+//              rebuild seconds (schema treecache.ingest/1). --follow
+//              tail-polls the last file for growth and stops after
+//              --idle-ms with no new bytes (0 = follow until killed)
 //   gen-trace  --tree tree.txt --kind <workload> --length N [--skew Z]
 //              [--neg F] [--alpha A] [--update-prob P] [--seed S]
 //              [--out trace.txt]
@@ -117,6 +117,7 @@
 #include "tree/tree_builder.hpp"
 #include "tree/tree_io.hpp"
 #include "util/json.hpp"
+#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace treecache::tools {
@@ -348,10 +349,11 @@ int cmd_gen_feed(const Flags& flags) {
 
 /// One family's block of the treecache.ingest/1 document. The tree shape
 /// is reported over the replay FIB — the rule tree the fib-real workload
-/// runs on, rebuilt from every prefix the feed touched — so the numbers
-/// describe exactly what a `--workload fib-real` run would execute.
+/// runs on, over every prefix the feed named — so the numbers describe
+/// exactly what a `--workload fib-real` run would execute.
 template <typename PrefixT>
-util::Json ingest_family_json(const rib::BasicIngest<PrefixT>& family) {
+util::Json ingest_family_json(const rib::BasicIngest<PrefixT>& family,
+                              const rib::BasicChurnReplay<PrefixT>& replay) {
   const rib::IngestStats& stats = family.stats;
   util::Json doc =
       util::Json::object()
@@ -366,7 +368,6 @@ util::Json ingest_family_json(const rib::BasicIngest<PrefixT>& family) {
                                        static_cast<double>(stats.dump_routes)
                                  : 0.0);
   if (!family.empty()) {
-    const auto replay = rib::make_churn_replay(family);
     const Tree& tree = replay.fib.tree;
     util::Json histogram = util::Json::array();
     for (const std::uint64_t count : rib::depth_histogram(tree)) {
@@ -382,7 +383,8 @@ util::Json ingest_family_json(const rib::BasicIngest<PrefixT>& family) {
 
 template <typename PrefixT>
 void print_ingest_family(const char* name,
-                         const rib::BasicIngest<PrefixT>& family) {
+                         const rib::BasicIngest<PrefixT>& family,
+                         const rib::BasicChurnReplay<PrefixT>& replay) {
   if (family.empty()) return;
   const rib::IngestStats& stats = family.stats;
   std::cout << name << ":\n"
@@ -391,9 +393,8 @@ void print_ingest_family(const char* name,
             << "  withdraws:       " << stats.withdraws << " ("
             << stats.withdraw_misses << " missed)\n"
             << "  replaced routes: " << stats.replaced_routes << "\n"
-            << "  live routes:     " << family.rib.size() << "\n";
-  const auto replay = rib::make_churn_replay(family);
-  std::cout << "  replay tree:     " << replay.fib.tree.size()
+            << "  live routes:     " << family.rib.size() << "\n"
+            << "  replay tree:     " << replay.fib.tree.size()
             << " nodes, height " << replay.fib.tree.height() << ", "
             << replay.churn_nodes.size() << " churn events\n";
 }
@@ -405,7 +406,7 @@ int cmd_ingest(const Flags& flags) {
                                                     "idle-ms"};
   const std::vector<std::string> paths =
       rib::feed_paths_from_params(params_from(flags, kIngestFlagKeys));
-  const auto start = std::chrono::steady_clock::now();
+  Stopwatch clock;
   const rib::IngestResult result = [&] {
     if (!flags.has("follow")) return rib::ingest_feed(paths);
     const rib::FollowOptions follow{
@@ -413,10 +414,13 @@ int cmd_ingest(const Flags& flags) {
         .idle = std::chrono::milliseconds(flags.get_u64("idle-ms", 1000))};
     return rib::ingest_feed(paths, follow);
   }();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double elapsed = clock.seconds();
   TC_CHECK(result.records > 0, "the feed carries no records");
+  // Each family's replay FIB is built once, for both outputs.
+  clock.restart();
+  const rib::ChurnReplay replay4 = rib::make_churn_replay(result.v4);
+  const rib::ChurnReplay6 replay6 = rib::make_churn_replay(result.v6);
+  const double rebuild = clock.seconds();
 
   if (flags.has("json")) {
     util::Json feed = util::Json::array();
@@ -432,17 +436,23 @@ int cmd_ingest(const Flags& flags) {
             .set("routes_per_second",
                  elapsed > 0.0 ? static_cast<double>(result.records) / elapsed
                                : 0.0)
-            .set("families", util::Json::object()
-                                 .set("ipv4", ingest_family_json(result.v4))
-                                 .set("ipv6", ingest_family_json(result.v6))));
+            // Kept apart from `families`, which holds only what the feed's
+            // content determines.
+            .set("timing", util::Json::object()
+                               .set("ingest_s", elapsed)
+                               .set("rebuild_s", rebuild))
+            .set("families",
+                 util::Json::object()
+                     .set("ipv4", ingest_family_json(result.v4, replay4))
+                     .set("ipv6", ingest_family_json(result.v6, replay6))));
   }
   if (stdout_is_human(flags)) {
     std::cout << "feed: " << result.records << " records ("
               << result.bytes << " bytes) from " << paths.size() << " file"
               << (paths.size() == 1 ? "" : "s") << " in " << elapsed
               << " s\n";
-    print_ingest_family("IPv4", result.v4);
-    print_ingest_family("IPv6", result.v6);
+    print_ingest_family("IPv4", result.v4, replay4);
+    print_ingest_family("IPv6", result.v6, replay6);
   }
   return 0;
 }
