@@ -6,27 +6,18 @@
 // Open-loop rows share one Zipf stream over a tree with eight equal
 // top-level subtrees; the sharded rows generate it once and demux it into
 // bounded per-shard queues (inline for 8x1, one worker per core for 8xN).
-// Closed-loop rows run the router event loop on a synthetic RIB. The
-// tc-batched layout pairs rerun the fib workload with TC's frozen
-// NodeId-keyed state (tc-legacy) next to the preorder SoA
-// (tc) at 1x1 and 8xN — same costs bit for bit, only requests/sec moves.
+// Closed-loop rows run the router event loop on a synthetic RIB.
 // The fib-real rows replay the checked-in RIB feed fixture (ingested
 // dump+update churn) through the same open-loop engine at 1x1 and 8xN.
-// The kernel rows measure the slice-scan kernels (core/kernels.hpp): the
-// tc-deep family runs a 13-level universe (deep enough that subtree scans
-// dominate) with forced-scalar vs dispatched kernel sets, and
-// tc-batched-soa-scalar-1x1 reruns the SoA closed loop on the scalar
-// reference — same costs bit for bit, only requests/sec moves.
+// The tc-deep rows run a 13-level universe, deep enough that the subtree
+// slice scans (core/kernels.hpp) dominate, at 1x1 and pinned 8xN.
 // Identical seed per mode, best of TREECACHE_BENCH_REPS repetitions; emits
 // BENCH_throughput.json when TREECACHE_BENCH_JSON_DIR is set (the CI perf
 // artifact).
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <string>
 #include <vector>
-
-#include "core/kernels.hpp"
 
 #include "engine/sharded_engine.hpp"
 #include "fib/fib_workloads.hpp"
@@ -55,20 +46,13 @@ struct Mode {
   bool observer = false;    // force the per-round observer slow path
   bool closed_loop = false;  // FIB router source instead of the Zipf stream
   bool real_feed = false;    // fib-real: ingested RIB feed replay
-  std::string algo = "tc";   // registry name the mode runs
-  // Layout-comparison rows (the tc-batched pairs): "nodeid" is the frozen
-  // pre-SoA baseline (tc-legacy), "preorder-soa" the preorder-indexed
-  // NodeState layout. Empty for the trajectory rows. A layout row's
-  // speedup column compares against the nodeid row of the same geometry,
-  // so it reads as the layout win directly.
-  std::string layout{};
   std::string baseline{};  // mode name the speedup column divides by
   bool deep = false;       // run on the deep (13-level) universe
-  /// Kernel set forced for the whole mode, instances included ("scalar" /
-  /// "sse2" / "avx2"); empty runs the dispatched default.
-  std::string force_kernels{};
   bool pin = false;  // pin workers + first-touch shard state (open loop)
 };
+
+/// Every trajectory row runs TC.
+constexpr const char* kAlgo = "tc";
 
 struct Sample {
   sim::RunResult result;
@@ -79,7 +63,7 @@ Sample run_mode(const Mode& mode, const Tree& tree,
                 const sim::Params& params, std::uint64_t seed) {
   const auto source = sim::make_source("zipf", tree, params, seed);
   if (mode.shards == 1) {
-    const auto alg = sim::make_algorithm(mode.algo, tree, params);
+    const auto alg = sim::make_algorithm(kAlgo, tree, params);
     if (mode.observer) {
       // The pre-batching driver shape: a live (no-op) observer forces the
       // scalar loop with its per-round std::function dispatch.
@@ -92,7 +76,7 @@ Sample run_mode(const Mode& mode, const Tree& tree,
     }
     return {sim::run_source(*alg, *source), 1};
   }
-  engine::ShardedEngine eng(tree, mode.algo, params,
+  engine::ShardedEngine eng(tree, kAlgo, params,
                             {.shards = mode.shards,
                              .threads = mode.threads,
                              .batch = 4096,
@@ -104,7 +88,7 @@ Sample run_mode(const Mode& mode, const Tree& tree,
 Sample run_closed_loop_mode(const Mode& mode, const fib::RuleTree& rules,
                             const sim::Params& params, std::uint64_t seed) {
   engine::ShardedEngine eng(
-      rules.tree, mode.algo, params,
+      rules.tree, kAlgo, params,
       {.shards = mode.shards, .threads = mode.threads});
   fib::RouterSource source(rules, sim::fib_router_config(params, seed));
   const engine::EngineResult result = eng.run(source);
@@ -114,7 +98,7 @@ Sample run_closed_loop_mode(const Mode& mode, const fib::RuleTree& rules,
 Sample run_real_feed_mode(const Mode& mode, const Tree& tree,
                           const sim::Params& params, std::uint64_t seed) {
   engine::ShardedEngine eng(
-      tree, mode.algo, params,
+      tree, kAlgo, params,
       {.shards = mode.shards, .threads = mode.threads, .batch = 4096});
   const auto source = sim::make_source("fib-real", tree, params, seed);
   const engine::EngineResult result = eng.run(*source);
@@ -142,9 +126,9 @@ int main() {
   }
   const Tree tree = trees::complete_kary(levels, 8);
 
-  // Deep universe for the kernel rows: eight 12-level complete binary
+  // Deep universe for the tc-deep rows: eight 12-level complete binary
   // subtrees under one root (13 levels, 32761 nodes) — walks long enough
-  // that the slice-scan kernels dominate the round, still eight equal
+  // that the slice scans dominate the round, still eight equal
   // top-level shards. Not bench-scaled: depth is the point; the request
   // stream length is scaled instead (shared `length` param).
   constexpr std::size_t kSubLevels = 12;
@@ -203,9 +187,7 @@ int main() {
   // Each workload family measures against ITS single-thread row: open-loop
   // rows against the batched Zipf driver, fib-closed rows against the
   // unsharded router loop — a closed-loop "speedup" vs an open-loop
-  // baseline would compare different substrates and mean nothing. The
-  // tc-batched layout pairs compare against the nodeid row of the SAME
-  // geometry: their speedup column is the memory-layout win in isolation.
+  // baseline would compare different substrates and mean nothing.
   const std::vector<Mode> modes{
       {.name = "scalar+observer",
        .observer = true,
@@ -228,33 +210,6 @@ int main() {
        .threads = 0,
        .closed_loop = true,
        .baseline = "fib-closed-1x1"},
-      // Before/after layout rows: TC batched on the fib workload, same
-      // geometry, only the per-node state layout differs (tc-legacy keeps
-      // the frozen NodeId-keyed arrays; tc runs the preorder SoA).
-      {.name = "tc-batched-nodeid-1x1",
-       .shards = 1,
-       .closed_loop = true,
-       .algo = "tc-legacy",
-       .layout = "nodeid",
-       .baseline = "tc-batched-nodeid-1x1"},
-      {.name = "tc-batched-soa-1x1",
-       .shards = 1,
-       .closed_loop = true,
-       .layout = "preorder-soa",
-       .baseline = "tc-batched-nodeid-1x1"},
-      {.name = "tc-batched-nodeid-8xN",
-       .shards = 8,
-       .threads = 0,
-       .closed_loop = true,
-       .algo = "tc-legacy",
-       .layout = "nodeid",
-       .baseline = "tc-batched-nodeid-8xN"},
-      {.name = "tc-batched-soa-8xN",
-       .shards = 8,
-       .threads = 0,
-       .closed_loop = true,
-       .layout = "preorder-soa",
-       .baseline = "tc-batched-nodeid-8xN"},
       // Real-feed rows: the fib-real workload over the ingested fixture
       // table — open loop, so sharding scales it like the Zipf rows, but
       // the stream is a real dump+update churn mix.
@@ -265,26 +220,11 @@ int main() {
        .threads = 0,
        .real_feed = true,
        .baseline = "fib-real-1x1"},
-      // Kernel rows. tc-batched-soa-scalar-1x1 reruns the SoA closed loop
-      // on the scalar reference kernels: together with tc-batched-soa-1x1
-      // (dispatched) it brackets the kernel win on the fib substrate at
-      // bit-identical cost. The tc-deep family isolates it on a deep
-      // universe: scalar vs dispatched at 1x1, then sharded 8xN with
+      // Deep-universe rows: TC on 13 levels at 1x1, then sharded 8xN with
       // pinned, first-touched workers.
-      {.name = "tc-batched-soa-scalar-1x1",
-       .shards = 1,
-       .closed_loop = true,
-       .layout = "preorder-soa",
-       .baseline = "tc-batched-nodeid-1x1",
-       .force_kernels = "scalar"},
-      {.name = "tc-deep-scalar-1x1",
-       .shards = 1,
-       .baseline = "tc-deep-scalar-1x1",
-       .deep = true,
-       .force_kernels = "scalar"},
       {.name = "tc-deep-1x1",
        .shards = 1,
-       .baseline = "tc-deep-scalar-1x1",
+       .baseline = "tc-deep-1x1",
        .deep = true},
       {.name = "tc-deep-8xN",
        .shards = 8,
@@ -299,12 +239,6 @@ int main() {
   std::vector<Sample> best(modes.size());
   for (std::size_t m = 0; m < modes.size(); ++m) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      // The guard must cover instance construction: TreeCache captures
-      // its kernel table when it is built.
-      std::optional<kernels::ForceGuard> force;
-      if (!modes[m].force_kernels.empty()) {
-        force.emplace(*kernels::parse_kind(modes[m].force_kernels));
-      }
       Sample sample =
           modes[m].deep
               ? run_mode(modes[m], deep_tree, params, seed)
@@ -336,31 +270,24 @@ int main() {
     const double rps = best[m].result.requests_per_second();
     const double baseline_rps = rps_of(mode.baseline);
     const double speedup = baseline_rps > 0.0 ? rps / baseline_rps : 0.0;
-    table.add_row({mode.name, mode.algo,
+    table.add_row({mode.name, kAlgo,
                    ConsoleTable::fmt(std::uint64_t{mode.shards}),
                    ConsoleTable::fmt(std::uint64_t{best[m].threads}),
                    ConsoleTable::fmt(best[m].result.cost.total()),
                    ConsoleTable::fmt(best[m].result.wall_seconds, 3),
                    ConsoleTable::fmt(rps / 1e6, 2),
                    ConsoleTable::fmt(speedup, 2) + "x"});
-    const std::string row_kernels =
-        mode.force_kernels.empty()
-            ? std::string(kernels::kind_name(kernels::active_kind()))
-            : mode.force_kernels;
-    util::Json row = util::Json::object()
-                         .set("mode", mode.name)
-                         .set("algo", mode.algo)
-                         .set("shards", std::uint64_t{mode.shards})
-                         .set("threads", std::uint64_t{best[m].threads})
-                         .set("rounds", best[m].result.rounds)
-                         .set("total_cost", best[m].result.cost.total())
-                         .set("wall_seconds", best[m].result.wall_seconds)
-                         .set("requests_per_second", rps)
-                         .set("baseline_mode", mode.baseline)
-                         .set("speedup_vs_baseline", speedup)
-                         .set("kernels", row_kernels);
-    if (!mode.layout.empty()) row.set("layout", mode.layout);
-    json_rows.push(std::move(row));
+    json_rows.push(util::Json::object()
+                       .set("mode", mode.name)
+                       .set("algo", kAlgo)
+                       .set("shards", std::uint64_t{mode.shards})
+                       .set("threads", std::uint64_t{best[m].threads})
+                       .set("rounds", best[m].result.rounds)
+                       .set("total_cost", best[m].result.cost.total())
+                       .set("wall_seconds", best[m].result.wall_seconds)
+                       .set("requests_per_second", rps)
+                       .set("baseline_mode", mode.baseline)
+                       .set("speedup_vs_baseline", speedup));
   }
 
   // Internet-scale RIB stress rows: synthesize a ~1M-route IPv4 table
@@ -402,8 +329,6 @@ int main() {
       }
     }
     const std::uint64_t rss = sim::peak_rss_bytes();
-    const std::string active =
-        std::string(kernels::kind_name(kernels::active_kind()));
     const double ingest_rps =
         static_cast<double>(records.size()) / std::max(ingest_wall, 1e-9);
     const double rebuild_rps =
@@ -427,7 +352,6 @@ int main() {
                        .set("requests_per_second", ingest_rps)
                        .set("baseline_mode", "rib-1m-ingest")
                        .set("speedup_vs_baseline", 1.0)
-                       .set("kernels", active)
                        .set("routes", live_routes)
                        .set("routes_per_second", ingest_rps)
                        .set("trie_nodes", trie_nodes)
@@ -444,7 +368,6 @@ int main() {
                        .set("requests_per_second", rebuild_rps)
                        .set("baseline_mode", "rib-1m-rebuild")
                        .set("speedup_vs_baseline", 1.0)
-                       .set("kernels", active)
                        .set("routes", live_routes)
                        .set("routes_per_second", rebuild_rps)
                        .set("trie_nodes", trie_nodes)
@@ -470,15 +393,11 @@ int main() {
       "each worker runs its shards' mirrors through fill, step and observe "
       "— so the sharded closed loop pays one serial generation pass plus "
       "parallel lookups and stepping, and should beat the 1x1 row whenever "
-      "spare cores exist. The tc-batched "
-      "pairs isolate the memory layout: nodeid is the frozen pre-SoA "
-      "TreeCache, preorder-soa the flat NodeState block — identical "
-      "decisions, so the speedup column is pure locality. The fib-real "
+      "spare cores exist. The fib-real "
       "rows swap the synthetic stream for replayed RIB-feed churn. The "
-      "tc-deep and *-scalar rows bracket the slice-scan kernels: forced "
-      "scalar vs the dispatched SIMD set at identical cost, on a 13-level "
-      "universe where the scans dominate (tc-deep-8xN adds pinned, "
-      "first-touched shard workers). The rib-1m rows stress the ingestion "
+      "tc-deep rows run a 13-level universe where the slice scans "
+      "dominate (tc-deep-8xN adds pinned, first-touched shard workers). "
+      "The rib-1m rows stress the ingestion "
       "layer at internet scale: ~1M synthetic IPv4 routes applied to the "
       "radix RIB (records/s) and rebuilt into the replay rule tree "
       "(nodes/s), with trie heap bytes and peak RSS as the memory audit");

@@ -64,27 +64,4 @@ class EpochArray {
   std::uint32_t epoch_ = 1;
 };
 
-/// Per-node request counters with phase-reset semantics (§4 of the paper):
-/// zero at phase start, incremented when the algorithm pays for a request at
-/// the node, reset to zero when the node is fetched or evicted.
-class CounterTable {
- public:
-  explicit CounterTable(std::size_t n) : counters_(n) {}
-
-  [[nodiscard]] std::uint64_t get(std::size_t v) const {
-    return counters_.get(v);
-  }
-
-  /// Returns the new counter value.
-  std::uint64_t increment(std::size_t v) { return counters_.add(v, 1); }
-
-  void reset(std::size_t v) { counters_.set(v, 0); }
-
-  /// New phase: all counters back to zero in O(1).
-  void reset_all() { counters_.reset_all(); }
-
- private:
-  EpochArray<std::uint64_t> counters_;
-};
-
 }  // namespace treecache

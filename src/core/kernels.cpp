@@ -1,17 +1,6 @@
 #include "core/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cstdlib>
-#include <string>
-
-#include "util/check.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define TREECACHE_KERNELS_X86 1
-#include <immintrin.h>
-#endif
 
 namespace treecache::kernels {
 namespace {
@@ -20,39 +9,13 @@ namespace {
   return ((bits[r >> 6] >> (r & 63)) & 1) != 0;
 }
 
-/// Length of the uncached run starting at r (bounded by end): scans the
-/// word-packed bitmap one 64-bit word at a time — the "masked popcount"
-/// shape — instead of testing one rank per iteration.
-[[nodiscard]] inline std::uint32_t uncached_run(const std::uint64_t* bits,
-                                                std::uint32_t r,
-                                                std::uint32_t end) {
-  std::uint32_t cur = r;
-  while (cur < end) {
-    const std::uint64_t word = bits[cur >> 6] >> (cur & 63);
-    if (word != 0) {
-      const auto tz = static_cast<std::uint32_t>(std::countr_zero(word));
-      return std::min(cur + tz, end) - r;
-    }
-    cur = (cur | 63) + 1;  // run covers the rest of this word
-  }
-  return end - r;
-}
+}  // namespace
 
-[[nodiscard]] inline std::uint64_t sum_counters_scalar(
-    const NodeState::Counter* c, std::uint32_t n, std::uint32_t epoch) {
-  std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (c[i].stamp == epoch) total += c[i].value;
-  }
-  return total;
-}
+// One visit per push or subtree-skip jump; counters are masked by the
+// epoch stamp.
 
-// ---- scalar reference table ------------------------------------------
-// Loop shapes identical to the pre-kernel TreeCache scans: one visit per
-// push or subtree-skip jump, counters masked by the epoch stamp.
-
-ScanResult scan_missing_scalar(const MissingScan& s, std::uint32_t ru,
-                               std::uint32_t end, RankVec& out) {
+ScanResult scan_missing(const MissingScan& s, std::uint32_t ru,
+                        std::uint32_t end, RankVec& out) {
   ScanResult res;
   for (std::uint32_t r = ru; r < end;) {
     ++res.visits;
@@ -69,8 +32,8 @@ ScanResult scan_missing_scalar(const MissingScan& s, std::uint32_t ru,
   return res;
 }
 
-ScanResult scan_h_scalar(const HScan& s, std::uint32_t ru, std::uint32_t end,
-                         RankVec& out) {
+ScanResult scan_h_candidates(const HScan& s, std::uint32_t ru,
+                             std::uint32_t end, RankVec& out) {
   ScanResult res;
   for (std::uint32_t r = ru; r < end;) {
     ++res.visits;
@@ -85,367 +48,19 @@ ScanResult scan_h_scalar(const HScan& s, std::uint32_t ru, std::uint32_t end,
   return res;
 }
 
-void range_epoch_reset_scalar(NodeState::Counter* cnt, NodeState::PosEntry* pos,
-                              std::size_t n) {
+void range_epoch_reset(NodeState::Counter* cnt, NodeState::PosEntry* pos,
+                       std::size_t n) {
   std::fill(cnt, cnt + n, NodeState::Counter{});
   std::fill(pos, pos + n, NodeState::PosEntry{});
 }
 
-void emit_iota_scalar(RankVec& out, std::uint32_t begin, std::uint32_t end) {
+void emit_iota(RankVec& out, std::uint32_t begin, std::uint32_t end) {
   for (std::uint32_t r = begin; r < end; ++r) out.push_back(r);
 }
 
-constexpr Table kScalarTable{
-    .name = "scalar",
-    .scan_missing = scan_missing_scalar,
-    .scan_h_candidates = scan_h_scalar,
-    .range_epoch_reset = range_epoch_reset_scalar,
-    .emit_iota = emit_iota_scalar,
-};
-
-#if defined(TREECACHE_KERNELS_X86)
-
-// ---- SSE2 table ------------------------------------------------------
-// Run-based scans off the word-packed bitmap, 4-wide iota stores for the
-// collected ranks, movemask sign tests over packed NegEntry values.
-
-__attribute__((target("sse2"))) void emit_iota_sse2(RankVec& out,
-                                                    std::uint32_t begin,
-                                                    std::uint32_t end) {
-  if (begin >= end) return;
-  const std::uint32_t n = end - begin;
-  const std::size_t old = out.size();
-  out.resize(old + n);
-  std::uint32_t* dst = out.data() + old;
-  __m128i v = _mm_add_epi32(_mm_set1_epi32(static_cast<int>(begin)),
-                            _mm_setr_epi32(0, 1, 2, 3));
-  const __m128i step = _mm_set1_epi32(4);
-  std::uint32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), v);
-    v = _mm_add_epi32(v, step);
-  }
-  for (; i < n; ++i) dst[i] = begin + i;
-}
-
-__attribute__((target("sse2"))) ScanResult scan_missing_sse2(
-    const MissingScan& s, std::uint32_t ru, std::uint32_t end, RankVec& out) {
-  ScanResult res;
-  std::uint32_t r = ru;
-  while (r < end) {
-    if (bit_set(s.cached_bits, r)) {
-      r += s.sizes[r];
-      ++res.visits;
-      continue;
-    }
-    const std::uint32_t run = uncached_run(s.cached_bits, r, end);
-    emit_iota_sse2(out, r, r + run);
-    if (s.cnt != nullptr) res.total += sum_counters_scalar(s.cnt + r, run,
-                                                           s.epoch);
-    res.visits += run;
-    r += run;
-  }
-  return res;
-}
-
-__attribute__((target("sse2"))) ScanResult scan_h_sse2(const HScan& s,
-                                                       std::uint32_t ru,
-                                                       std::uint32_t end,
-                                                       RankVec& out) {
-  ScanResult res;
-  if (ru >= end) return res;
-  // The root of the scan is always included.
-  out.push_back(ru);
-  if (s.cnt[ru].stamp == s.epoch) res.total += s.cnt[ru].value;
-  ++res.visits;
-  std::uint32_t r = ru + 1;
-  while (r < end) {
-    if (r + 2 <= end) {
-      // Sign test of the packed I values: each NegEntry is one 128-bit
-      // load whose qword0 is I, so movemask_pd bit 0 is its sign.
-      const auto* base = reinterpret_cast<const double*>(s.neg + r);
-      const int m0 = _mm_movemask_pd(_mm_loadu_pd(base));
-      const int m1 = _mm_movemask_pd(_mm_loadu_pd(base + 2));
-      if (((m0 | m1) & 1) == 0) {  // both I >= 0: include both ranks
-        emit_iota_sse2(out, r, r + 2);
-        res.total += sum_counters_scalar(s.cnt + r, 2, s.epoch);
-        res.visits += 2;
-        r += 2;
-        continue;
-      }
-    }
-    ++res.visits;
-    if (s.neg[r].value < 0) {
-      r += s.sizes[r];
-      continue;
-    }
-    out.push_back(r);
-    if (s.cnt[r].stamp == s.epoch) res.total += s.cnt[r].value;
-    ++r;
-  }
-  return res;
-}
-
-__attribute__((target("sse2"))) void range_epoch_reset_sse2(
-    NodeState::Counter* cnt, NodeState::PosEntry* pos, std::size_t n) {
-  const __m128i zero = _mm_setzero_si128();
-  auto* c = reinterpret_cast<__m128i*>(cnt);
-  auto* p = reinterpret_cast<__m128i*>(pos);
-  for (std::size_t i = 0; i < n; ++i) {  // one 16-byte slot per store
-    _mm_storeu_si128(c + i, zero);
-    _mm_storeu_si128(p + i, zero);
-  }
-}
-
-constexpr Table kSse2Table{
-    .name = "sse2",
-    .scan_missing = scan_missing_sse2,
-    .scan_h_candidates = scan_h_sse2,
-    .range_epoch_reset = range_epoch_reset_sse2,
-    .emit_iota = emit_iota_sse2,
-};
-
-// ---- AVX2 table ------------------------------------------------------
-// 8-wide iota stores, masked 64-bit counter sums (stamp compare broadcast
-// over the value qwords), 4-entry sign blocks on the H scan.
-
-__attribute__((target("avx2"))) void emit_iota_avx2(RankVec& out,
-                                                    std::uint32_t begin,
-                                                    std::uint32_t end) {
-  if (begin >= end) return;
-  const std::uint32_t n = end - begin;
-  const std::size_t old = out.size();
-  out.resize(old + n);
-  std::uint32_t* dst = out.data() + old;
-  __m256i v = _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(begin)),
-                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  const __m256i step = _mm256_set1_epi32(8);
-  std::uint32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
-    v = _mm256_add_epi32(v, step);
-  }
-  for (; i < n; ++i) dst[i] = begin + i;
-}
-
-/// Epoch-masked sum over a Counter run: each 256-bit load covers two
-/// 16-byte slots; the stamp lanes (dword 2 of each half) are compared to
-/// the epoch, the compare mask is broadcast over the half, and only the
-/// value qwords survive the AND — two masked 64-bit adds per load.
-__attribute__((target("avx2"))) std::uint64_t sum_counters_avx2(
-    const NodeState::Counter* c, std::uint32_t n, std::uint32_t epoch) {
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i epochv = _mm256_set1_epi32(static_cast<int>(epoch));
-  const __m256i valmask = _mm256_set_epi64x(0, -1, 0, -1);
-  std::uint32_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-    const __m256i eq = _mm256_cmpeq_epi32(v, epochv);
-    const __m256i mask = _mm256_shuffle_epi32(eq, _MM_SHUFFLE(2, 2, 2, 2));
-    acc = _mm256_add_epi64(
-        acc, _mm256_and_si256(_mm256_and_si256(v, mask), valmask));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t total = lanes[0] + lanes[2];
-  for (; i < n; ++i) {
-    if (c[i].stamp == epoch) total += c[i].value;
-  }
-  return total;
-}
-
-__attribute__((target("avx2"))) ScanResult scan_missing_avx2(
-    const MissingScan& s, std::uint32_t ru, std::uint32_t end, RankVec& out) {
-  ScanResult res;
-  std::uint32_t r = ru;
-  while (r < end) {
-    if (bit_set(s.cached_bits, r)) {
-      r += s.sizes[r];
-      ++res.visits;
-      continue;
-    }
-    const std::uint32_t run = uncached_run(s.cached_bits, r, end);
-    emit_iota_avx2(out, r, r + run);
-    if (s.cnt != nullptr) res.total += sum_counters_avx2(s.cnt + r, run,
-                                                         s.epoch);
-    res.visits += run;
-    r += run;
-  }
-  return res;
-}
-
-__attribute__((target("avx2"))) ScanResult scan_h_avx2(const HScan& s,
-                                                       std::uint32_t ru,
-                                                       std::uint32_t end,
-                                                       RankVec& out) {
-  ScanResult res;
-  if (ru >= end) return res;
-  out.push_back(ru);
-  if (s.cnt[ru].stamp == s.epoch) res.total += s.cnt[ru].value;
-  ++res.visits;
-  std::uint32_t r = ru + 1;
-  while (r < end) {
-    if (r + 4 <= end) {
-      // Four NegEntries = two 256-bit loads; the I values sit in qwords
-      // 0 and 2 of each, so movemask_pd bits 0 and 2 carry their signs.
-      const auto* base = reinterpret_cast<const double*>(s.neg + r);
-      const int m0 = _mm256_movemask_pd(_mm256_loadu_pd(base));
-      const int m1 = _mm256_movemask_pd(_mm256_loadu_pd(base + 4));
-      if (((m0 | m1) & 0x5) == 0) {  // all four I >= 0: include the block
-        emit_iota_avx2(out, r, r + 4);
-        res.total += sum_counters_avx2(s.cnt + r, 4, s.epoch);
-        res.visits += 4;
-        r += 4;
-        continue;
-      }
-    }
-    ++res.visits;
-    if (s.neg[r].value < 0) {
-      r += s.sizes[r];
-      continue;
-    }
-    out.push_back(r);
-    if (s.cnt[r].stamp == s.epoch) res.total += s.cnt[r].value;
-    ++r;
-  }
-  return res;
-}
-
-__attribute__((target("avx2"))) void range_epoch_reset_avx2(
-    NodeState::Counter* cnt, NodeState::PosEntry* pos, std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  auto* c = reinterpret_cast<__m256i*>(cnt);
-  auto* p = reinterpret_cast<__m256i*>(pos);
-  std::size_t i = 0;
-  for (; i + 1 < n; i += 2) {  // two 16-byte slots per 256-bit store
-    _mm256_storeu_si256(c + i / 2, zero);
-    _mm256_storeu_si256(p + i / 2, zero);
-  }
-  for (; i < n; ++i) {
-    cnt[i] = NodeState::Counter{};
-    pos[i] = NodeState::PosEntry{};
-  }
-}
-
-constexpr Table kAvx2Table{
-    .name = "avx2",
-    .scan_missing = scan_missing_avx2,
-    .scan_h_candidates = scan_h_avx2,
-    .range_epoch_reset = range_epoch_reset_avx2,
-    .emit_iota = emit_iota_avx2,
-};
-
-#endif  // TREECACHE_KERNELS_X86
-
-/// The dispatched table. Resolved once on first use (CPUID + the
-/// TREECACHE_FORCE_KERNELS override); set_active() swaps it afterwards.
-std::atomic<const Table*> g_active{nullptr};
-
-const Table* resolve_default() {
-  Kind kind = best_supported();
-  if (const char* env = std::getenv("TREECACHE_FORCE_KERNELS");
-      env != nullptr && *env != '\0') {
-    const auto forced = parse_kind(env);
-    TC_CHECK(forced.has_value(),
-             "TREECACHE_FORCE_KERNELS=" + std::string(env) +
-                 " is not scalar|sse2|avx2");
-    TC_CHECK(supported(*forced),
-             "TREECACHE_FORCE_KERNELS=" + std::string(env) +
-                 " is not supported by this build/CPU");
-    kind = *forced;
-  }
-  return &table(kind);
-}
-
-}  // namespace
-
-bool supported(Kind kind) {
-  switch (kind) {
-    case Kind::kScalar:
-      return true;
-#if defined(TREECACHE_KERNELS_X86)
-    case Kind::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
-    case Kind::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-    case Kind::kSse2:
-    case Kind::kAvx2:
-      return false;
-#endif
-  }
-  return false;
-}
-
-const Table& table(Kind kind) {
-  TC_CHECK(supported(kind), "kernel set " + std::string(kind_name(kind)) +
-                                " is not supported by this build/CPU");
-  switch (kind) {
-    case Kind::kScalar:
-      return kScalarTable;
-#if defined(TREECACHE_KERNELS_X86)
-    case Kind::kSse2:
-      return kSse2Table;
-    case Kind::kAvx2:
-      return kAvx2Table;
-#else
-    default:
-      break;
-#endif
-  }
-  return kScalarTable;
-}
-
-Kind best_supported() {
-  if (supported(Kind::kAvx2)) return Kind::kAvx2;
-  if (supported(Kind::kSse2)) return Kind::kSse2;
-  return Kind::kScalar;
-}
-
-const Table& active() {
-  const Table* t = g_active.load(std::memory_order_acquire);
-  if (t == nullptr) {
-    // Benign race: concurrent first calls resolve the same table.
-    t = resolve_default();
-    g_active.store(t, std::memory_order_release);
-  }
-  return *t;
-}
-
-Kind active_kind() {
-  const Table* t = &active();
-#if defined(TREECACHE_KERNELS_X86)
-  if (t == &kAvx2Table) return Kind::kAvx2;
-  if (t == &kSse2Table) return Kind::kSse2;
-#endif
-  (void)t;
-  return Kind::kScalar;
-}
-
-Kind set_active(Kind kind) {
-  const Kind previous = active_kind();
-  g_active.store(&table(kind), std::memory_order_release);
-  return previous;
-}
-
-std::string_view kind_name(Kind kind) {
-  switch (kind) {
-    case Kind::kScalar:
-      return "scalar";
-    case Kind::kSse2:
-      return "sse2";
-    case Kind::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
-}
-
-std::optional<Kind> parse_kind(std::string_view name) {
-  if (name == "scalar") return Kind::kScalar;
-  if (name == "sse2") return Kind::kSse2;
-  if (name == "avx2") return Kind::kAvx2;
-  return std::nullopt;
+const Implementation& active() {
+  static constexpr Implementation kScalar{.name = "scalar"};
+  return kScalar;
 }
 
 }  // namespace treecache::kernels

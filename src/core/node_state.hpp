@@ -13,11 +13,10 @@
 //    miss per parallel array.
 //
 // The cached flags are a word-packed bitmap (64 ranks per std::uint64_t),
-// not a byte array: the missing-scan kernels (core/kernels.hpp) find
-// uncached runs by bit scanning a word at a time instead of walking bytes,
-// and a whole-subtree clear is a handful of masked word stores. The raw
-// stripe accessors (cached_bits / counters / pos_entries / neg_entries)
-// exist for those kernels — they expose the exact memory the scans read.
+// not a byte array: a whole-subtree clear is a handful of masked word
+// stores. The raw stripe accessors (cached_bits / counters / pos_entries /
+// neg_entries) exist for the slice scans of core/kernels.hpp — they expose
+// the exact memory the scans read.
 //
 // Counters and the positive index carry phase-reset semantics: each slot is
 // stamped with the epoch it was last written in and reads from older epochs
@@ -55,7 +54,7 @@ class NodeState {
   };
   static_assert(sizeof(NegEntry) == 16);
 
-  /// Per-node counter with phase-reset stamp. Public so the scan kernels
+  /// Per-node counter with phase-reset stamp. Public so the slice scans
   /// can sum epoch-valid values straight off the stripe.
   struct Counter {
     std::uint64_t value = 0;
@@ -138,7 +137,7 @@ class NodeState {
     return neg_[r];
   }
 
-  // --- raw stripes for the scan kernels (core/kernels.hpp) --------------
+  // --- raw stripes for the slice scans (core/kernels.hpp) ---------------
   [[nodiscard]] const std::uint64_t* cached_bits() const {
     return cached_.data();
   }

@@ -1,7 +1,5 @@
 #include "rib/rib_table.hpp"
 
-#include <algorithm>
-
 namespace treecache::rib {
 
 template <typename PrefixT>
@@ -78,8 +76,8 @@ std::vector<PrefixT> BasicRibTable<PrefixT>::prefixes() const {
   // Nodes are only ever appended, each after its parent, so one pass in
   // index order meets every node after its prefix is known: a sequential
   // sweep where a walk down the child links would miss the cache at every
-  // step. The final sort pins the rebuild input order regardless of
-  // insertion history.
+  // step. The output stays in that node-index order; the one consumer
+  // that needs an order, fib::build_rule_tree, sorts its input itself.
   std::vector<PrefixT> path(nodes_.size());  // path[i]: node i's prefix
   std::vector<PrefixT> out;
   out.reserve(routes_);
@@ -99,9 +97,6 @@ std::vector<PrefixT> BasicRibTable<PrefixT>::prefixes() const {
       path[child] = next;
     }
   }
-  std::sort(out.begin(), out.end(), [](const PrefixT& a, const PrefixT& b) {
-    return a.length != b.length ? a.length < b.length : a.bits < b.bits;
-  });
   return out;
 }
 

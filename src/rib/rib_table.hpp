@@ -55,8 +55,9 @@ class BasicRibTable {
     return nodes_.capacity() * sizeof(Node);
   }
 
-  /// All live routes, sorted shortest-first then numerically — the
-  /// deterministic input order for FIB rebuilds.
+  /// All live routes in trie node-index order (insertion history decides
+  /// it, so it is deterministic for a given feed but not sorted).
+  /// fib::build_rule_tree sorts, so FIB rebuilds do not depend on it.
   [[nodiscard]] std::vector<PrefixT> prefixes() const;
 
  private:

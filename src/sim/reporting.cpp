@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <string>
 
-#include "core/kernels.hpp"
 #include "engine/sharded_engine.hpp"
 #include "util/check.hpp"
 
@@ -159,7 +158,6 @@ util::Json throughput_json(const Scenario& scenario,
                .set("batch", std::uint64_t{config.batch})
                .set("pin", result.pinned)
                .set("affinity", std::move(affinity))
-               .set("kernels", std::string(kernels::active().name))
                .set("queue_high_water",
                     std::uint64_t{result.queue_high_water}))
       .set("result", to_json(result.total))

@@ -95,8 +95,8 @@ class Subforest {
   const Tree* tree_;
   std::vector<std::uint8_t> cached_;
   /// Preorder-rank-indexed mirror of the membership flags as a word-packed
-  /// bitmap, so missing_subtree runs on the scan_missing kernel
-  /// (core/kernels.hpp) instead of a per-rank byte walk.
+  /// bitmap, so missing_subtree runs on the same scan_missing as
+  /// TreeCache (core/kernels.hpp).
   std::vector<std::uint64_t> rank_bits_;
   std::size_t size_ = 0;
 };

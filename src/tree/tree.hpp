@@ -126,7 +126,7 @@ class Tree {
 
   /// The whole subtree-size stripe, rank-indexed. Scan loops capture this
   /// once (`.data()`) instead of calling preorder_subtree_size per rank;
-  /// the scan kernels (core/kernels.hpp) take it as a raw stripe.
+  /// the slice scans (core/kernels.hpp) take it as a raw stripe.
   [[nodiscard]] std::span<const std::uint32_t> preorder_sizes() const {
     return rank_size_;
   }

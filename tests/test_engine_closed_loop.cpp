@@ -14,11 +14,11 @@
 #include <array>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/outcome_buffer.hpp"
 
 #include "engine/shard_plan.hpp"
 #include "engine/sharded_engine.hpp"
@@ -381,13 +381,45 @@ TEST(ClosedLoopSharding, MirrorReportsBufferedInput) {
   EXPECT_FALSE(mirror.has_buffered());
 }
 
+/// A chunk of outcomes that outlive their step: each outcome's node lists
+/// are copied out (a live outcome's spans die at the next step) and the
+/// spans are pointed at the copies when the chunk is delivered.
+class OwnedOutcomes {
+ public:
+  void clear() {
+    outcomes_.clear();
+    nodes_.clear();
+  }
+  void append(const StepOutcome& outcome) {
+    outcomes_.push_back(outcome);
+    nodes_.push_back({std::vector<NodeId>(outcome.changed.begin(),
+                                          outcome.changed.end()),
+                      std::vector<NodeId>(outcome.also_evicted.begin(),
+                                          outcome.also_evicted.end()),
+                      std::vector<NodeId>(outcome.aborted_fetch.begin(),
+                                          outcome.aborted_fetch.end())});
+  }
+  [[nodiscard]] std::span<const StepOutcome> views() {
+    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
+      outcomes_[i].changed = nodes_[i][0];
+      outcomes_[i].also_evicted = nodes_[i][1];
+      outcomes_[i].aborted_fetch = nodes_[i][2];
+    }
+    return outcomes_;
+  }
+
+ private:
+  std::vector<StepOutcome> outcomes_;
+  std::vector<std::array<std::vector<NodeId>, 3>> nodes_;
+};
+
 TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
   // Chunk-granularity feedback must be invisible to the closed loop: a
   // source fed one observe_batch per fill()-chunk stays in request-level
   // lockstep with a twin fed every outcome individually through the
   // scalar observe() forwarder, for the whole source and for every shard
-  // mirror. The batched side buffers its outcomes through an
-  // OutcomeBuffer.
+  // mirror. The batched side holds its outcomes in an OwnedOutcomes
+  // chunk.
   sim::Params params = diff_params(kShapes[1]);
   const fib::RuleTree rules = fib::rule_tree_from_params(params);
   const fib::RouterSimConfig router = sim::fib_router_config(params, 33);
@@ -398,7 +430,7 @@ TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
     const auto alg_batched = sim::make_algorithm("tc", tree, params);
     std::array<Request, 64> buf_scalar{};
     std::array<Request, 64> buf_batched{};
-    OutcomeBuffer chunk;
+    OwnedOutcomes chunk;
     std::uint64_t requests = 0;
     while (true) {
       const std::size_t n = unit.fill(buf_scalar);

@@ -1,24 +1,17 @@
-// Randomized differential suite for the slice-scan kernels
-// (core/kernels.hpp): every SIMD path is compared against the scalar
-// reference — same output ranks, same counter totals, same visit counts —
-// over random universes × epochs × cached patterns, plus the TC-level
-// differential (whole TreeCache runs under forced kernel sets must agree
-// outcome for outcome) and the epoch clear-on-wrap branch through the
-// vectorized reset. Unsupported kinds (e.g. AVX2 on an older CPU) are
-// skipped at runtime, so the suite passes everywhere while exercising
-// whatever the host can dispatch.
+// The slice-scan primitives (core/kernels.hpp) against independent
+// oracles: the stripe clear behind NodeState's epoch wrap and full reset,
+// the wrap branch itself, and Subforest::missing_subtree (scan_missing
+// over a rank bitmap) against a per-node walk off the contains() flags.
+// scan_missing and scan_h_candidates inside TreeCache are covered end to
+// end by the naive-TC differentials (test_tc_equivalence.cpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/kernels.hpp"
 #include "core/node_state.hpp"
-#include "core/trace.hpp"
-#include "core/tree_cache.hpp"
 #include "tree/subforest.hpp"
 #include "tree/tree.hpp"
 #include "tree/tree_builder.hpp"
@@ -26,15 +19,6 @@
 
 namespace treecache {
 namespace {
-
-std::vector<kernels::Kind> supported_simd_kinds() {
-  std::vector<kernels::Kind> kinds;
-  for (const kernels::Kind kind : {kernels::Kind::kSse2,
-                                   kernels::Kind::kAvx2}) {
-    if (kernels::supported(kind)) kinds.push_back(kind);
-  }
-  return kinds;
-}
 
 Tree make_tree(std::size_t which, Rng& rng) {
   switch (which % 5) {
@@ -52,7 +36,7 @@ Tree make_tree(std::size_t which, Rng& rng) {
 }
 
 /// A random descendant-closed cached set over the rank space, as the
-/// word-packed bitmap the kernels scan: the union of random subtree
+/// word-packed bitmap scan_missing reads: the union of random subtree
 /// slices (each slice [r, r + size(r)) is a whole subtree, and unions of
 /// subtrees are descendant-closed).
 std::vector<std::uint64_t> random_cached_bits(const Tree& tree, Rng& rng) {
@@ -69,198 +53,41 @@ std::vector<std::uint64_t> random_cached_bits(const Tree& tree, Rng& rng) {
   return bits;
 }
 
-std::vector<NodeState::Counter> random_counters(std::uint32_t n,
-                                                std::uint32_t epoch,
-                                                Rng& rng) {
-  std::vector<NodeState::Counter> cnt(n);
-  for (auto& c : cnt) {
-    c.value = rng.below(1000);
-    // Mix of current-epoch, stale, and arbitrary stamps: the masked sums
-    // must honor exactly the stamp == epoch slots.
-    const std::uint64_t pick = rng.below(3);
-    c.stamp = pick == 0 ? epoch
-                        : (pick == 1 ? epoch - 1
-                                     : static_cast<std::uint32_t>(
-                                           rng.below(1u << 30)));
-  }
-  return cnt;
-}
-
-std::vector<NodeState::NegEntry> random_neg_entries(std::uint32_t n,
-                                                    Rng& rng) {
-  std::vector<NodeState::NegEntry> neg(n);
-  for (auto& e : neg) {
-    e.value = rng.uniform_int(-4, 4);
-    e.size = rng.below(50);
-  }
-  return neg;
-}
-
-TEST(Kernels, ParseKindRoundTripsAndRejectsUnknown) {
-  EXPECT_EQ(kernels::parse_kind("scalar"), kernels::Kind::kScalar);
-  EXPECT_EQ(kernels::parse_kind("sse2"), kernels::Kind::kSse2);
-  EXPECT_EQ(kernels::parse_kind("avx2"), kernels::Kind::kAvx2);
-  EXPECT_FALSE(kernels::parse_kind("neon").has_value());
-  EXPECT_FALSE(kernels::parse_kind("").has_value());
-  for (const kernels::Kind kind :
-       {kernels::Kind::kScalar, kernels::Kind::kSse2, kernels::Kind::kAvx2}) {
-    EXPECT_EQ(kernels::parse_kind(kernels::kind_name(kind)), kind);
-  }
-}
-
-TEST(Kernels, ScalarAlwaysSupportedAndTablesSelfIdentify) {
-  EXPECT_TRUE(kernels::supported(kernels::Kind::kScalar));
-  EXPECT_EQ(kernels::table(kernels::Kind::kScalar).name, "scalar");
-  for (const kernels::Kind kind : supported_simd_kinds()) {
-    EXPECT_EQ(kernels::table(kind).name, kernels::kind_name(kind));
-  }
-  EXPECT_TRUE(kernels::supported(kernels::best_supported()));
-}
-
-TEST(Kernels, ForceGuardSwapsAndRestores) {
-  const kernels::Kind before = kernels::active_kind();
-  {
-    kernels::ForceGuard guard(kernels::Kind::kScalar);
-    EXPECT_EQ(kernels::active_kind(), kernels::Kind::kScalar);
-    EXPECT_EQ(kernels::active().name, "scalar");
-  }
-  EXPECT_EQ(kernels::active_kind(), before);
-}
-
-TEST(Kernels, EmitIotaMatchesScalarAcrossWordBoundaries) {
-  const std::uint32_t cases[][2] = {{0, 0},   {5, 5},   {0, 1},  {0, 4},
-                                    {3, 17},  {0, 63},  {0, 64}, {0, 65},
-                                    {60, 70}, {1, 128}, {7, 200}};
-  for (const kernels::Kind kind : supported_simd_kinds()) {
-    const kernels::Table& table = kernels::table(kind);
-    for (const auto& c : cases) {
-      kernels::RankVec expect{99, 98};  // non-empty prefix must survive
-      kernels::RankVec got{99, 98};
-      kernels::table(kernels::Kind::kScalar).emit_iota(expect, c[0], c[1]);
-      table.emit_iota(got, c[0], c[1]);
-      EXPECT_EQ(got, expect) << kernels::kind_name(kind) << " [" << c[0]
-                             << ", " << c[1] << ")";
-    }
-  }
-}
-
 TEST(Kernels, RangeEpochResetZeroesEverySlot) {
   Rng rng(2026'08'08);
-  for (const kernels::Kind kind : supported_simd_kinds()) {
-    const kernels::Table& table = kernels::table(kind);
-    for (const std::size_t n : {0u, 1u, 2u, 3u, 63u, 64u, 65u, 127u, 128u}) {
-      std::vector<NodeState::Counter> cnt(n);
-      std::vector<NodeState::PosEntry> pos(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        cnt[i] = {.value = rng.below(1000), .stamp = 7};
-        pos[i] = {.pcnt = rng.uniform_int(-9, 9),
-                  .cached_below = static_cast<std::uint32_t>(rng.below(9)),
-                  .stamp = 7};
-      }
-      table.range_epoch_reset(cnt.data(), pos.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(cnt[i].value, 0u);
-        EXPECT_EQ(cnt[i].stamp, 0u);
-        EXPECT_EQ(pos[i].pcnt, 0);
-        EXPECT_EQ(pos[i].cached_below, 0u);
-        EXPECT_EQ(pos[i].stamp, 0u);
-      }
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 63u, 64u, 65u, 127u, 128u}) {
+    std::vector<NodeState::Counter> cnt(n);
+    std::vector<NodeState::PosEntry> pos(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      cnt[i] = {.value = rng.below(1000), .stamp = 7};
+      pos[i] = {.pcnt = rng.uniform_int(-9, 9),
+                .cached_below = static_cast<std::uint32_t>(rng.below(9)),
+                .stamp = 7};
     }
-  }
-}
-
-TEST(Kernels, ScanMissingMatchesScalarOnRandomUniverses) {
-  const auto simd = supported_simd_kinds();
-  Rng rng(411);
-  for (std::size_t round = 0; round < 60; ++round) {
-    const Tree tree = make_tree(round, rng);
-    const std::uint32_t n = tree.size();
-    const auto bits = random_cached_bits(tree, rng);
-    const auto epoch = static_cast<std::uint32_t>(1 + rng.below(1000));
-    const auto cnt = random_counters(n, epoch, rng);
-    const bool with_counters = rng.chance(0.8);
-    const kernels::MissingScan scan{
-        .cached_bits = bits.data(),
-        .sizes = tree.preorder_sizes().data(),
-        .cnt = with_counters ? cnt.data() : nullptr,
-        .epoch = epoch};
-    // Several scan roots per universe, always including the whole tree.
-    for (std::size_t probe = 0; probe < 4; ++probe) {
-      const auto ru =
-          probe == 0 ? 0 : static_cast<std::uint32_t>(rng.below(n));
-      const std::uint32_t end = ru + tree.preorder_subtree_size(ru);
-      kernels::RankVec expect;
-      const kernels::ScanResult ref =
-          kernels::table(kernels::Kind::kScalar)
-              .scan_missing(scan, ru, end, expect);
-      for (const kernels::Kind kind : simd) {
-        kernels::RankVec got;
-        const kernels::ScanResult res =
-            kernels::table(kind).scan_missing(scan, ru, end, got);
-        EXPECT_EQ(got, expect) << kernels::kind_name(kind);
-        EXPECT_EQ(res.total, ref.total) << kernels::kind_name(kind);
-        EXPECT_EQ(res.visits, ref.visits) << kernels::kind_name(kind);
-      }
-    }
-  }
-}
-
-TEST(Kernels, ScanHCandidatesMatchesScalarOnRandomUniverses) {
-  const auto simd = supported_simd_kinds();
-  Rng rng(412);
-  for (std::size_t round = 0; round < 60; ++round) {
-    const Tree tree = make_tree(round, rng);
-    const std::uint32_t n = tree.size();
-    const auto epoch = static_cast<std::uint32_t>(1 + rng.below(1000));
-    const auto cnt = random_counters(n, epoch, rng);
-    const auto neg = random_neg_entries(n, rng);
-    const kernels::HScan scan{.neg = neg.data(),
-                              .sizes = tree.preorder_sizes().data(),
-                              .cnt = cnt.data(),
-                              .epoch = epoch};
-    for (std::size_t probe = 0; probe < 4; ++probe) {
-      const auto ru =
-          probe == 0 ? 0 : static_cast<std::uint32_t>(rng.below(n));
-      const std::uint32_t end = ru + tree.preorder_subtree_size(ru);
-      kernels::RankVec expect;
-      const kernels::ScanResult ref =
-          kernels::table(kernels::Kind::kScalar)
-              .scan_h_candidates(scan, ru, end, expect);
-      // The scan root itself is always a candidate, I(ru) notwithstanding.
-      ASSERT_FALSE(expect.empty());
-      EXPECT_EQ(expect.front(), ru);
-      for (const kernels::Kind kind : simd) {
-        kernels::RankVec got;
-        const kernels::ScanResult res =
-            kernels::table(kind).scan_h_candidates(scan, ru, end, got);
-        EXPECT_EQ(got, expect) << kernels::kind_name(kind);
-        EXPECT_EQ(res.total, ref.total) << kernels::kind_name(kind);
-        EXPECT_EQ(res.visits, ref.visits) << kernels::kind_name(kind);
-      }
+    kernels::range_epoch_reset(cnt.data(), pos.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(cnt[i].value, 0u);
+      EXPECT_EQ(cnt[i].stamp, 0u);
+      EXPECT_EQ(pos[i].pcnt, 0);
+      EXPECT_EQ(pos[i].cached_below, 0u);
+      EXPECT_EQ(pos[i].stamp, 0u);
     }
   }
 }
 
 TEST(Kernels, NodeStateEpochWrapClearsThroughEachKind) {
-  std::vector<kernels::Kind> kinds{kernels::Kind::kScalar};
-  for (const kernels::Kind kind : supported_simd_kinds()) {
-    kinds.push_back(kind);
+  NodeState state(130);  // spans several 64-rank words + a ragged tail
+  for (std::uint32_t r = 0; r < 130; ++r) {
+    state.bump_counter(r);
+    state.pos(r).pcnt = 3;
   }
-  for (const kernels::Kind kind : kinds) {
-    kernels::ForceGuard guard(kind);
-    NodeState state(130);  // spans several 64-rank words + a ragged tail
-    for (std::uint32_t r = 0; r < 130; ++r) {
-      state.bump_counter(r);
-      state.pos(r).pcnt = 3;
-    }
-    state.debug_set_epoch(std::numeric_limits<std::uint32_t>::max());
-    state.new_phase();  // wraps: stamps ambiguous → vectorized hard clear
-    EXPECT_EQ(state.debug_epoch(), 1u) << kernels::kind_name(kind);
-    for (std::uint32_t r = 0; r < 130; ++r) {
-      EXPECT_EQ(state.counter(r), 0u) << kernels::kind_name(kind);
-      EXPECT_EQ(state.pcnt(r), 0) << kernels::kind_name(kind);
-      EXPECT_EQ(state.cached_below(r), 0u) << kernels::kind_name(kind);
-    }
+  state.debug_set_epoch(std::numeric_limits<std::uint32_t>::max());
+  state.new_phase();  // wraps: stamps ambiguous → hard clear
+  EXPECT_EQ(state.debug_epoch(), 1u);
+  for (std::uint32_t r = 0; r < 130; ++r) {
+    EXPECT_EQ(state.counter(r), 0u);
+    EXPECT_EQ(state.pcnt(r), 0);
+    EXPECT_EQ(state.cached_below(r), 0u);
   }
 }
 
@@ -285,10 +112,6 @@ std::vector<NodeId> naive_missing(const Subforest& sub, NodeId u) {
 }
 
 TEST(Kernels, SubforestMissingSubtreeMatchesNaiveUnderEveryKind) {
-  std::vector<kernels::Kind> kinds{kernels::Kind::kScalar};
-  for (const kernels::Kind kind : supported_simd_kinds()) {
-    kinds.push_back(kind);
-  }
   Rng rng(413);
   for (std::size_t round = 0; round < 25; ++round) {
     const Tree tree = make_tree(round, rng);
@@ -307,61 +130,9 @@ TEST(Kernels, SubforestMissingSubtreeMatchesNaiveUnderEveryKind) {
     for (std::size_t probe = 0; probe < 4; ++probe) {
       const auto u = static_cast<NodeId>(rng.below(n));
       if (sub.contains(u)) continue;  // P_t(u) needs non-cached u
-      const std::vector<NodeId> expect = naive_missing(sub, u);
-      for (const kernels::Kind kind : kinds) {
-        kernels::ForceGuard guard(kind);
-        std::vector<NodeId> got;
-        sub.missing_subtree(u, got);
-        EXPECT_EQ(got, expect) << kernels::kind_name(kind);
-      }
-    }
-  }
-}
-
-/// Whole-algorithm differential: two TreeCache instances, one per kernel
-/// set, stepped through the same random trace must agree on every
-/// outcome, cost, counter, and the Theorem 6.1 work count.
-TEST(Kernels, TreeCacheForcedKernelDifferential) {
-  Rng rng(414);
-  for (const kernels::Kind kind : supported_simd_kinds()) {
-    for (std::size_t round = 0; round < 12; ++round) {
-      const Tree tree = make_tree(round, rng);
-      const TreeCacheConfig config{
-          .alpha = 1 + rng.below(8),
-          .capacity = 1 + rng.below(std::max<std::size_t>(tree.size(), 2))};
-      kernels::ForceGuard scalar_guard(kernels::Kind::kScalar);
-      TreeCache reference(tree, config);
-      std::unique_ptr<TreeCache> candidate;
-      {
-        kernels::ForceGuard simd_guard(kind);
-        candidate = std::make_unique<TreeCache>(tree, config);
-      }
-      Trace trace;
-      for (std::size_t i = 0; i < 1500; ++i) {
-        trace.push_back(Request{
-            static_cast<NodeId>(rng.below(tree.size())),
-            rng.chance(0.4) ? Sign::kNegative : Sign::kPositive});
-      }
-      for (const Request& request : trace) {
-        const StepOutcome a = reference.step(request);
-        const StepOutcome b = candidate->step(request);
-        ASSERT_EQ(a.paid, b.paid) << kernels::kind_name(kind);
-        ASSERT_EQ(a.change, b.change) << kernels::kind_name(kind);
-        ASSERT_TRUE(std::equal(a.changed.begin(), a.changed.end(),
-                               b.changed.begin(), b.changed.end()))
-            << kernels::kind_name(kind);
-        ASSERT_EQ(a.aborted_fetch_size, b.aborted_fetch_size)
-            << kernels::kind_name(kind);
-      }
-      EXPECT_EQ(reference.cost().service, candidate->cost().service);
-      EXPECT_EQ(reference.cost().reorg, candidate->cost().reorg);
-      EXPECT_EQ(reference.work(), candidate->work());
-      EXPECT_EQ(reference.cache().as_vector(), candidate->cache().as_vector());
-      EXPECT_EQ(reference.phases().size(), candidate->phases().size());
-      for (NodeId v = 0; v < tree.size(); ++v) {
-        ASSERT_EQ(reference.counter(v), candidate->counter(v))
-            << kernels::kind_name(kind);
-      }
+      std::vector<NodeId> got;
+      sub.missing_subtree(u, got);
+      EXPECT_EQ(got, naive_missing(sub, u));
     }
   }
 }

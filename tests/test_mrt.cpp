@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rib/churn_source.hpp"
@@ -69,6 +71,17 @@ IngestResult ingest_records(const std::vector<FeedRecord>& records) {
   return out;
 }
 
+/// A RIB's live routes in a canonical order: prefixes() reports them in
+/// node-index order, which depends on insertion history.
+template <typename PrefixT>
+std::vector<PrefixT> sorted_routes(const BasicRibTable<PrefixT>& rib) {
+  std::vector<PrefixT> routes = rib.prefixes();
+  std::ranges::sort(routes, [](const PrefixT& a, const PrefixT& b) {
+    return std::pair(a.length, a.bits) < std::pair(b.length, b.bits);
+  });
+  return routes;
+}
+
 /// Structural equality of two ingests (stats, live routes, churn, and
 /// the replay FIB built from them) — the "same RIB either way" oracle for
 /// format equivalence.
@@ -80,7 +93,7 @@ void expect_same_ingest(const IngestResult& a, const IngestResult& b) {
     EXPECT_EQ(fa.stats.withdraws, fb.stats.withdraws);
     EXPECT_EQ(fa.stats.withdraw_misses, fb.stats.withdraw_misses);
     EXPECT_EQ(fa.stats.replaced_routes, fb.stats.replaced_routes);
-    EXPECT_EQ(fa.rib.prefixes(), fb.rib.prefixes());
+    EXPECT_EQ(sorted_routes(fa.rib), sorted_routes(fb.rib));
     EXPECT_EQ(fa.churn, fb.churn);
     const auto ra = make_churn_replay(fa);
     const auto rb = make_churn_replay(fb);

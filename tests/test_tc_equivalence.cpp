@@ -15,7 +15,6 @@
 #include "core/naive_tree_cache.hpp"
 #include "core/trace.hpp"
 #include "core/tree_cache.hpp"
-#include "core/tree_cache_legacy.hpp"
 #include "tree/tree_builder.hpp"
 #include "util/rng.hpp"
 
@@ -112,8 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Deeper randomized sweep on bigger trees without enumeration (naive
-// comparison only), to push the incremental structures harder.
+// comparison only), to push the incremental structures harder. Besides the
+// outcomes it checks every node's counter after every round and the node
+// set of every aborted fetch, which no other differential compares.
 TEST(TcEquivalenceLarge, RandomTreesLongTraces) {
+  std::uint64_t restarts = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
     const Tree tree = trees::random_recursive(120, rng);
@@ -130,57 +132,21 @@ TEST(TcEquivalenceLarge, RandomTreesLongTraces) {
       ASSERT_EQ(a.change, b.change) << "seed " << seed << " round " << i;
       ASSERT_EQ(sorted(a.changed), sorted(b.changed))
           << "seed " << seed << " round " << i;
+      ASSERT_EQ(sorted(a.aborted_fetch), sorted(b.aborted_fetch))
+          << "seed " << seed << " round " << i;
+      ASSERT_EQ(a.aborted_fetch_size, b.aborted_fetch_size)
+          << "seed " << seed << " round " << i;
+      for (NodeId v = 0; v < tree.size(); ++v) {
+        ASSERT_EQ(fast.counter(v), naive.counter(v))
+            << "seed " << seed << " round " << i << " node " << v;
+      }
       ASSERT_TRUE(fast.cache().is_valid());
+      if (a.change == ChangeKind::kPhaseRestart) ++restarts;
     }
     ASSERT_EQ(fast.cost(), naive.cost());
   }
-}
-
-// The preorder-SoA TreeCache against the frozen pre-SoA LegacyTreeCache:
-// only the memory layout moved, so every round must agree on payment,
-// change kind, changeset (as a set — collection order is layout-defined),
-// cache content, cost, phase boundaries, and the white-box aggregates.
-TEST(TcEquivalenceLayout, MatchesLegacyNodeIdLayoutExactly) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed * 101);
-    const Tree tree = trees::random_recursive(100, rng);
-    const std::uint64_t alpha = 1 + rng.below(4);
-    const std::size_t capacity = 1 + rng.below(tree.size() / 2);
-    const Trace trace = random_trace(tree, 2500, 0.4, rng);
-
-    TreeCache soa(tree, {.alpha = alpha, .capacity = capacity});
-    LegacyTreeCache legacy(tree, {.alpha = alpha, .capacity = capacity});
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      const StepOutcome a = soa.step(trace[i]);
-      const StepOutcome b = legacy.step(trace[i]);
-      ASSERT_EQ(a.paid, b.paid) << "seed " << seed << " round " << i;
-      ASSERT_EQ(a.change, b.change) << "seed " << seed << " round " << i;
-      ASSERT_EQ(sorted(a.changed), sorted(b.changed))
-          << "seed " << seed << " round " << i;
-      ASSERT_EQ(sorted(a.aborted_fetch), sorted(b.aborted_fetch))
-          << "seed " << seed << " round " << i;
-      ASSERT_EQ(a.aborted_fetch_size, b.aborted_fetch_size);
-      const NodeId v = trace[i].node;
-      ASSERT_EQ(soa.counter(v), legacy.counter(v));
-      if (soa.cache().contains(v)) {
-        ASSERT_EQ(soa.debug_hI(v), legacy.debug_hI(v));
-        ASSERT_EQ(soa.debug_hS(v), legacy.debug_hS(v));
-      } else {
-        ASSERT_EQ(soa.debug_pcnt(v), legacy.debug_pcnt(v));
-        ASSERT_EQ(soa.debug_psize(v), legacy.debug_psize(v));
-      }
-    }
-    ASSERT_EQ(soa.cost(), legacy.cost());
-    ASSERT_EQ(soa.cache().as_vector(), legacy.cache().as_vector());
-    ASSERT_EQ(soa.phases().size(), legacy.phases().size());
-    for (std::size_t p = 0; p < soa.phases().size(); ++p) {
-      ASSERT_EQ(soa.phases()[p].first_round, legacy.phases()[p].first_round);
-      ASSERT_EQ(soa.phases()[p].last_round, legacy.phases()[p].last_round);
-      ASSERT_EQ(soa.phases()[p].k_end, legacy.phases()[p].k_end);
-      ASSERT_EQ(soa.phases()[p].fetches, legacy.phases()[p].fetches);
-      ASSERT_EQ(soa.phases()[p].evictions, legacy.phases()[p].evictions);
-    }
-  }
+  // The aborted-fetch comparison is only as good as the restarts it saw.
+  EXPECT_GT(restarts, 0u);
 }
 
 // Hot-path skew: repeated positive requests concentrated on few nodes mixed
