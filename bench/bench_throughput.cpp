@@ -292,9 +292,12 @@ int main() {
 
   // Internet-scale RIB stress rows: synthesize a ~1M-route IPv4 table
   // plus an update stream, then time raw feed ingestion (records/s into
-  // the radix RIB) and the replay-FIB rebuild (tree nodes/s). The rows
-  // carry the trie's heap bytes and the process peak RSS — the memory
-  // audit that keeps internet-size tables honest.
+  // the exact-match RIB table) and the replay-FIB rebuild (tree nodes/s).
+  // The rows carry the RIB's heap bytes and the process peak RSS — the
+  // memory audit that keeps internet-size tables honest. The keys
+  // `trie_nodes`/`trie_bytes` keep their names for the JSON schema; they
+  // count RIB table entries (withdrawn tombstones included) and slot
+  // bytes.
   {
     rib::SyntheticFeedConfig feed_config;
     feed_config.routes = sim::bench_scaled(1000000);
@@ -399,7 +402,8 @@ int main() {
       "dominate (tc-deep-8xN adds pinned, first-touched shard workers). "
       "The rib-1m rows stress the ingestion "
       "layer at internet scale: ~1M synthetic IPv4 routes applied to the "
-      "radix RIB (records/s) and rebuilt into the replay rule tree "
-      "(nodes/s), with trie heap bytes and peak RSS as the memory audit");
+      "exact-match RIB table (records/s) and rebuilt into the replay rule "
+      "tree (nodes/s), with RIB heap bytes and peak RSS as the memory "
+      "audit");
   return 0;
 }

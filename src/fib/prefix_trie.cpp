@@ -36,21 +36,6 @@ std::optional<RuleId> BasicPrefixTrie<PrefixT>::exact(
   return nodes_[node].rule;
 }
 
-template <typename PrefixT>
-std::optional<RuleId> BasicPrefixTrie<PrefixT>::parent_rule(
-    const PrefixT& prefix) const {
-  std::optional<RuleId> best;
-  std::uint32_t node = 0;
-  for (unsigned i = 0; i < prefix.length; ++i) {
-    if (nodes_[node].rule != kNoRule) best = nodes_[node].rule;
-    const std::uint32_t child =
-        nodes_[node].child[key_bit(prefix.bits, i) ? 1 : 0];
-    if (child == 0) break;
-    node = child;
-  }
-  return best;
-}
-
 template class BasicPrefixTrie<Prefix>;
 template class BasicPrefixTrie<Prefix6>;
 

@@ -59,9 +59,6 @@ class BasicPrefixTrie {
   /// Rule stored at exactly this prefix, if any.
   [[nodiscard]] std::optional<RuleId> exact(const PrefixT& prefix) const;
 
-  /// The longest PROPER ancestor prefix of `prefix` that carries a rule.
-  [[nodiscard]] std::optional<RuleId> parent_rule(const PrefixT& prefix) const;
-
  private:
   static constexpr RuleId kNoRule = ~RuleId{0};
   struct Node {

@@ -1,40 +1,45 @@
 #include "fib/rule_tree.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 namespace treecache::fib {
 
 template <typename PrefixT>
 BasicRuleTree<PrefixT> build_rule_tree(std::vector<PrefixT> prefixes) {
-  // Sort by length (parents first), then numerically; drop duplicates
-  // and any explicit default route (it is the artificial root).
-  std::sort(prefixes.begin(), prefixes.end(),
-            [](const PrefixT& a, const PrefixT& b) {
-              return a.length != b.length ? a.length < b.length
-                                          : a.bits < b.bits;
-            });
+  // Prefix's own (bits, length) order is preorder of the inclusion tree:
+  // an ancestor sorts before its descendants, and each subtree is one
+  // contiguous run. Drop duplicates and any explicit default route (it
+  // is the artificial root).
+  std::sort(prefixes.begin(), prefixes.end());
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
                  prefixes.end());
   std::erase_if(prefixes, [](const PrefixT& p) { return p.length == 0; });
+  TC_CHECK(prefixes.size() + 1 < kNoNode, "tree too large for NodeId");
 
-  std::vector<PrefixT> node_prefix;
-  node_prefix.reserve(prefixes.size() + 1);
-  node_prefix.push_back(PrefixT{});  // node 0: the /0 default rule
+  // Ids go shortest first, then numeric (parents precede children). A
+  // counting pass by length gives each length its first id; preorder
+  // meets the prefixes of one length in numeric order.
+  std::array<NodeId, PrefixT::kWidth + 1> next_id{};
+  for (const PrefixT& p : prefixes) ++next_id[p.length];
+  NodeId first = 1;
+  for (NodeId& id : next_id) first += std::exchange(id, first);
 
-  std::vector<NodeId> parent;
-  parent.reserve(prefixes.size() + 1);
-  parent.push_back(kNoNode);
-
-  // Because parents are shorter and inserted first, parent_rule() resolves
-  // each prefix's longest proper ancestor among already-inserted rules,
-  // which is its final parent.
+  std::vector<PrefixT> node_prefix(prefixes.size() + 1);  // node 0: /0
+  std::vector<NodeId> parent(prefixes.size() + 1, kNoNode);
   BasicPrefixTrie<PrefixT> trie;
   TC_CHECK(trie.insert(PrefixT{}, 0), "fresh trie must accept the root");
+  // The stored prefixes that contain the current one, outermost first:
+  // in preorder its parent is the innermost of them still open.
+  std::vector<std::pair<PrefixT, NodeId>> open;
   for (const PrefixT& p : prefixes) {
-    const auto node = static_cast<NodeId>(node_prefix.size());
-    parent.push_back(trie.parent_rule(p).value_or(0));
+    const NodeId node = next_id[p.length]++;
+    while (!open.empty() && !open.back().first.contains(p)) open.pop_back();
+    parent[node] = open.empty() ? 0 : open.back().second;
+    open.emplace_back(p, node);
+    node_prefix[node] = p;
     TC_CHECK(trie.insert(p, node), "duplicate prefix after dedupe");
-    node_prefix.push_back(p);
   }
   return BasicRuleTree<PrefixT>{Tree(std::move(parent)),
                                 std::move(node_prefix), std::move(trie)};

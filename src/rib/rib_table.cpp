@@ -2,100 +2,104 @@
 
 namespace treecache::rib {
 
+namespace {
+
+/// The splitmix64 finalizer: a bijection on 64 bits in which every input
+/// bit flips each output bit with probability about ½.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Both hashes mix every key bit. IPv4 packs bits and length into one
+// word, so distinct prefixes never share a hash.
+std::uint64_t slot_hash(const fib::Prefix& p) {
+  return mix64((std::uint64_t{p.bits} << 8) | p.length);
+}
+
+std::uint64_t slot_hash(const fib::Prefix6& p) {
+  return mix64(mix64(mix64(p.length) ^ p.bits.lo) ^ p.bits.hi);
+}
+
+}  // namespace
+
+template <typename PrefixT>
+std::size_t BasicRibTable<PrefixT>::find(const PrefixT& prefix) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = slot_hash(prefix) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.state == State::kEmpty || slot.prefix == prefix) return i;
+  }
+}
+
+template <typename PrefixT>
+void BasicRibTable<PrefixT>::grow() {
+  // Fail loudly before the doubled capacity (and so any slot index) can
+  // overflow; no real table comes near this.
+  TC_CHECK(slots_.size() <= slots_.max_size() / 2,
+           "RIB table capacity overflow");
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  for (const Slot& slot : old) {
+    if (slot.state != State::kEmpty) slots_[find(slot.prefix)] = slot;
+  }
+}
+
 template <typename PrefixT>
 bool BasicRibTable<PrefixT>::route_add(const PrefixT& prefix,
                                        NextHop next_hop) {
-  std::uint32_t node = 0;
-  for (unsigned i = 0; i < prefix.length; ++i) {
-    const std::uint32_t branch = fib::key_bit(prefix.bits, i) ? 1 : 0;
-    if (nodes_[node].child[branch] == 0) {
-      // Child links are 32-bit; internet-scale tables stay far under
-      // this, but a hostile feed must fail loudly, not wrap.
-      TC_CHECK(nodes_.size() <= 0xFFFFFFFFull,
-               "RIB trie exceeds 2^32 nodes");
-      nodes_[node].child[branch] = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{});
+  std::size_t i = find(prefix);
+  if (slots_[i].state == State::kEmpty) {
+    if (2 * (entries_ + 1) > slots_.size()) {
+      grow();
+      i = find(prefix);
     }
-    node = nodes_[node].child[branch];
+    slots_[i].prefix = prefix;
+    ++entries_;
   }
-  const bool fresh = !nodes_[node].occupied;
-  nodes_[node].occupied = true;
-  nodes_[node].next_hop = next_hop;
+  Slot& slot = slots_[i];
+  const bool fresh = slot.state != State::kLive;
+  slot.state = State::kLive;
+  slot.next_hop = next_hop;
   if (fresh) ++routes_;
   return fresh;
 }
 
 template <typename PrefixT>
 bool BasicRibTable<PrefixT>::route_delete(const PrefixT& prefix) {
-  const auto [node, found] = find(prefix);
-  if (!found || !nodes_[node].occupied) return false;
-  nodes_[node].occupied = false;
-  nodes_[node].next_hop = 0;
+  Slot& slot = slots_[find(prefix)];
+  if (slot.state != State::kLive) return false;
+  slot.state = State::kWithdrawn;
+  slot.next_hop = 0;
   --routes_;
   return true;
 }
 
 template <typename PrefixT>
 std::optional<NextHop> BasicRibTable<PrefixT>::lookup(const Bits& addr) const {
-  std::optional<NextHop> best;
-  std::uint32_t node = 0;
-  for (unsigned depth = 0;; ++depth) {
-    if (nodes_[node].occupied) best = nodes_[node].next_hop;
-    if (depth == PrefixT::kWidth) break;
-    const std::uint32_t child =
-        nodes_[node].child[fib::key_bit(addr, depth) ? 1 : 0];
-    if (child == 0) break;
-    node = child;
+  for (int length = PrefixT::kWidth; length >= 0; --length) {
+    const PrefixT prefix =
+        PrefixT::make(addr, static_cast<std::uint8_t>(length));
+    if (const auto hop = exact(prefix)) return hop;
   }
-  return best;
+  return std::nullopt;
 }
 
 template <typename PrefixT>
 std::optional<NextHop> BasicRibTable<PrefixT>::exact(
     const PrefixT& prefix) const {
-  const auto [node, found] = find(prefix);
-  if (!found || !nodes_[node].occupied) return std::nullopt;
-  return nodes_[node].next_hop;
-}
-
-template <typename PrefixT>
-std::pair<std::uint32_t, bool> BasicRibTable<PrefixT>::find(
-    const PrefixT& prefix) const {
-  std::uint32_t node = 0;
-  for (unsigned i = 0; i < prefix.length; ++i) {
-    const std::uint32_t child =
-        nodes_[node].child[fib::key_bit(prefix.bits, i) ? 1 : 0];
-    if (child == 0) return {0, false};
-    node = child;
-  }
-  return {node, true};
+  const Slot& slot = slots_[find(prefix)];
+  if (slot.state != State::kLive) return std::nullopt;
+  return slot.next_hop;
 }
 
 template <typename PrefixT>
 std::vector<PrefixT> BasicRibTable<PrefixT>::prefixes() const {
-  // Nodes are only ever appended, each after its parent, so one pass in
-  // index order meets every node after its prefix is known: a sequential
-  // sweep where a walk down the child links would miss the cache at every
-  // step. The output stays in that node-index order; the one consumer
-  // that needs an order, fib::build_rule_tree, sorts its input itself.
-  std::vector<PrefixT> path(nodes_.size());  // path[i]: node i's prefix
   std::vector<PrefixT> out;
   out.reserve(routes_);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    const PrefixT prefix = path[i];
-    if (node.occupied) out.push_back(prefix);
-    for (int branch = 0; branch < 2; ++branch) {
-      const std::uint32_t child = node.child[branch];
-      if (child == 0) continue;
-      PrefixT next = prefix;
-      if (branch == 1) {
-        next.bits = next.bits | (typename PrefixT::Bits{1}
-                                 << (PrefixT::kWidth - 1 - next.length));
-      }
-      next.length = static_cast<std::uint8_t>(next.length + 1);
-      path[child] = next;
-    }
+  for (const Slot& slot : slots_) {
+    if (slot.state == State::kLive) out.push_back(slot.prefix);
   }
   return out;
 }

@@ -1,8 +1,11 @@
-// Radix-trie RIB: the full routing table the control plane maintains,
+// Exact-match RIB: the full routing table the control plane maintains,
 // from which the FIB (rule tree) is rebuilt. Modeled on classic
-// rib_route_add / rib_route_delete / rebuild_fib_from_rib designs: a
-// binary radix trie keyed by the prefix bits, one optional route per
-// node. Generic over the key width — RibTable (IPv4) and RibTable6
+// rib_route_add / rib_route_delete / rebuild_fib_from_rib designs, but
+// the RIB itself never answers a longest-prefix match on the ingest
+// path: it only adds, deletes and lists routes. So it is one flat
+// open-addressing table keyed by the whole prefix (bits and length),
+// with linear probing, and the LPM index lives in the rebuilt rule
+// tree. Generic over the key width — RibTable (IPv4) and RibTable6
 // (IPv6) are the two instantiations.
 #pragma once
 
@@ -25,18 +28,17 @@ class BasicRibTable {
  public:
   using Bits = typename PrefixT::Bits;
 
-  BasicRibTable() { nodes_.push_back(Node{}); }
-
   /// Inserts or replaces the route for `prefix`. Returns true when the
   /// route is new, false when an existing route was replaced.
   bool route_add(const PrefixT& prefix, NextHop next_hop);
 
   /// Removes the route stored at exactly `prefix`. Returns false when no
-  /// such route exists. Trie nodes are not reclaimed (tombstone-style,
-  /// like production radix RIBs); rebuild_fib_from_rib compacts.
+  /// such route exists. The entry stays as a withdrawn tombstone (a
+  /// re-announce reuses it); rebuild_fib_from_rib compacts.
   bool route_delete(const PrefixT& prefix);
 
-  /// Longest-prefix match over live routes.
+  /// Longest-prefix match over live routes: one exact probe per length,
+  /// longest first. For tests and tools; the ingest path never calls it.
   [[nodiscard]] std::optional<NextHop> lookup(const Bits& addr) const;
 
   /// The route stored at exactly `prefix`, if any.
@@ -45,34 +47,39 @@ class BasicRibTable {
   /// Number of live routes.
   [[nodiscard]] std::size_t size() const { return routes_; }
 
-  /// Trie nodes allocated, root and tombstones included — the
-  /// denominator of the memory audit.
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  /// Entries held, withdrawn tombstones included: the number of distinct
+  /// prefixes ever added. The denominator of the memory audit.
+  [[nodiscard]] std::size_t node_count() const { return entries_; }
 
-  /// Heap bytes held by the trie (capacity, not just size — what the
+  /// Heap bytes held by the table (slot capacity × slot size — what the
   /// process actually pays). Reported by the 1M-route stress rows.
   [[nodiscard]] std::size_t memory_bytes() const {
-    return nodes_.capacity() * sizeof(Node);
+    return slots_.capacity() * sizeof(Slot);
   }
 
-  /// All live routes in trie node-index order (insertion history decides
-  /// it, so it is deterministic for a given feed but not sorted).
+  /// All live routes in slot order (the hash and the insertion history
+  /// decide it, so it is deterministic for a given feed but not sorted).
   /// fib::build_rule_tree sorts, so FIB rebuilds do not depend on it.
   [[nodiscard]] std::vector<PrefixT> prefixes() const;
 
  private:
-  struct Node {
-    std::uint32_t child[2] = {0, 0};  // 0 = absent (node 0 is the root)
+  enum class State : std::uint8_t { kEmpty, kWithdrawn, kLive };
+  struct Slot {
+    PrefixT prefix;
     NextHop next_hop = 0;
-    bool occupied = false;
+    State state = State::kEmpty;
   };
+  static constexpr std::size_t kInitialSlots = 16;  // a power of two
 
-  /// Index of the node for `prefix`, or 0 with found=false when the path
-  /// does not exist. (Root IS index 0; `found` disambiguates.)
-  [[nodiscard]] std::pair<std::uint32_t, bool> find(
-      const PrefixT& prefix) const;
+  /// The slot holding `prefix`, or the empty slot that ends its probe
+  /// run. The load stays at most ½, so an empty slot always exists.
+  [[nodiscard]] std::size_t find(const PrefixT& prefix) const;
 
-  std::vector<Node> nodes_;
+  /// Doubles the capacity and re-inserts every entry.
+  void grow();
+
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+  std::size_t entries_ = 0;
   std::size_t routes_ = 0;
 };
 

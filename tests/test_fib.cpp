@@ -1,9 +1,13 @@
 // FIB substrate: IPv4 parsing, trie LPM vs linear scan, rule-tree
-// structure, synthetic RIB properties, router simulation correctness, and
+// structure (and the build against a brute-force oracle over both key
+// widths), synthetic RIB properties, router simulation correctness, and
 // the Appendix B canonicalization bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "baselines/lru_closure.hpp"
 #include "core/tree_cache.hpp"
@@ -179,6 +183,129 @@ TEST(RuleTree, DropsDuplicatesAndDefaultRoute) {
   EXPECT_EQ(rt.lpm(parse_address("10.1.9.9")),
             2u);  // the /16, inserted after the /8
   EXPECT_EQ(rt.lpm(parse_address("77.1.9.9")), 0u);  // default rule
+}
+
+// --- Rule-tree build vs a brute-force oracle, both widths ----------------
+
+/// A random prefix multiset with duplicates, explicit /0 entries,
+/// deaggregated nesting (a prefix carved out of an earlier one, a few
+/// bits longer) and full-width host routes.
+template <typename PrefixT>
+std::vector<PrefixT> nested_multiset(Rng& rng, std::size_t count) {
+  using Family = AddressFamily<typename PrefixT::Bits>;
+  constexpr unsigned kWidth = PrefixT::kWidth;
+  std::vector<PrefixT> out;
+  while (out.size() < count) {
+    const double roll = rng.uniform01();
+    if (!out.empty() && roll < 0.1) {
+      out.push_back(rng.pick(out));
+    } else if (roll < 0.13) {
+      out.push_back(PrefixT{});
+    } else if (!out.empty() && roll < 0.6) {
+      const PrefixT outer = rng.pick(out);
+      if (outer.length == kWidth) continue;
+      const auto length = static_cast<std::uint8_t>(
+          outer.length + 1 + rng.below(std::min(8u, kWidth - outer.length)));
+      const auto span = ~prefix_mask<typename PrefixT::Bits>(outer.length);
+      out.push_back(
+          PrefixT::make(outer.bits | (Family::random(rng) & span), length));
+    } else if (roll < 0.7) {
+      out.push_back(PrefixT::make(Family::random(rng), kWidth));
+    } else {
+      const auto length = static_cast<std::uint8_t>(rng.below(kWidth + 1));
+      out.push_back(PrefixT::make(Family::random(rng), length));
+    }
+  }
+  return out;
+}
+
+template <typename PrefixT>
+bool by_length_then_bits(const PrefixT& a, const PrefixT& b) {
+  return std::pair(a.length, a.bits) < std::pair(b.length, b.bits);
+}
+
+template <typename PrefixT>
+void rule_tree_matches_brute_force(std::uint64_t seed) {
+  using Bits = typename PrefixT::Bits;
+  using Family = AddressFamily<Bits>;
+  Rng rng(seed);
+  const std::vector<PrefixT> input = nested_multiset<PrefixT>(rng, 700);
+  const BasicRuleTree<PrefixT> rt = build_rule_tree(input);
+
+  // Nodes 1.. are the distinct non-/0 inputs in (length, bits) order.
+  std::vector<PrefixT> distinct;
+  for (const PrefixT& p : input) {
+    if (p.length > 0) distinct.push_back(p);
+  }
+  std::ranges::sort(distinct, by_length_then_bits<PrefixT>);
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  ASSERT_LT(distinct.size(), input.size());  // duplicates and /0 were there
+  ASSERT_EQ(rt.tree.size(), distinct.size() + 1);
+  ASSERT_EQ(rt.prefix.size(), rt.tree.size());
+  EXPECT_EQ(rt.prefix[0], PrefixT{});
+  EXPECT_EQ(std::vector<PrefixT>(rt.prefix.begin() + 1, rt.prefix.end()),
+            distinct);
+
+  // Brute force: the longest stored prefix that properly contains `p`,
+  // or the root.
+  const auto longest_containing = [&](const auto& covers) {
+    NodeId best = 0;
+    for (NodeId u = 1; u < rt.tree.size(); ++u) {
+      if (covers(rt.prefix[u]) &&
+          rt.prefix[u].length > rt.prefix[best].length) {
+        best = u;
+      }
+    }
+    return best;
+  };
+  std::size_t nested = 0;
+  for (NodeId v = 1; v < rt.tree.size(); ++v) {
+    const PrefixT& p = rt.prefix[v];
+    const NodeId parent = longest_containing([&](const PrefixT& q) {
+      return q.length < p.length && q.contains(p);
+    });
+    ASSERT_EQ(rt.tree.parent(v), parent) << p.to_string();
+    nested += parent != 0;
+    EXPECT_EQ(rt.trie.exact(p), std::optional<RuleId>(v));
+  }
+  EXPECT_GT(nested, distinct.size() / 4);
+
+  // LPM on probes aimed inside a stored prefix, and on random ones.
+  for (int probe = 0; probe < 1000; ++probe) {
+    const PrefixT& target = rng.pick(distinct);
+    const Bits span = ~prefix_mask<Bits>(target.length);
+    const Bits addr = probe % 4 == 0
+                          ? Family::random(rng)
+                          : target.bits | (Family::random(rng) & span);
+    const NodeId want = longest_containing(
+        [&](const PrefixT& q) { return q.contains(addr); });
+    ASSERT_EQ(rt.lpm(addr), want) << "probe " << probe;
+  }
+  // A prefix the input never named has no exact match.
+  for (int probe = 0; probe < 200; ++probe) {
+    const auto length =
+        static_cast<std::uint8_t>(1 + rng.below(PrefixT::kWidth));
+    const PrefixT p = PrefixT::make(Family::random(rng), length);
+    if (!std::ranges::binary_search(distinct, p,
+                                    by_length_then_bits<PrefixT>)) {
+      EXPECT_EQ(rt.trie.exact(p), std::nullopt) << p.to_string();
+    }
+  }
+}
+
+TEST(RuleTree, MatchesBruteForceIpv4) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    rule_tree_matches_brute_force<Prefix>(seed);
+  }
+}
+
+TEST(RuleTree, MatchesBruteForceIpv6) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    rule_tree_matches_brute_force<Prefix6>(seed);
+  }
 }
 
 TEST(RibGen, ProducesRequestedDistinctRules) {

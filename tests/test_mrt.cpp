@@ -72,7 +72,7 @@ IngestResult ingest_records(const std::vector<FeedRecord>& records) {
 }
 
 /// A RIB's live routes in a canonical order: prefixes() reports them in
-/// node-index order, which depends on insertion history.
+/// slot order, which depends on insertion history.
 template <typename PrefixT>
 std::vector<PrefixT> sorted_routes(const BasicRibTable<PrefixT>& rib) {
   std::vector<PrefixT> routes = rib.prefixes();

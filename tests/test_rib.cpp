@@ -1,8 +1,8 @@
 // The RIB subsystem, unit-level: U128 arithmetic, IPv6 parsing and RFC
 // 5952 formatting, feed-line grammar (round trips and line-numbered
-// errors), the radix RibTable against a naive sorted-vector LPM
-// reference over both key widths, FIB rebuild invariants, and the
-// synthetic feed generator's self-consistency.
+// errors), the exact-match RibTable against a naive map reference over
+// both key widths (LPM, growth and tombstones), FIB rebuild invariants,
+// and the synthetic feed generator's self-consistency.
 #include "rib/rib_table.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -296,7 +297,18 @@ class NaiveRib {
     }
     return best;
   }
+  [[nodiscard]] std::optional<NextHop> exact(const PrefixT& prefix) const {
+    const auto it = routes_.find(prefix);
+    if (it == routes_.end()) return std::nullopt;
+    return it->second;
+  }
   [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  /// Live routes in (bits, length) order.
+  [[nodiscard]] std::vector<PrefixT> prefixes() const {
+    std::vector<PrefixT> out;
+    for (const auto& [prefix, next_hop] : routes_) out.push_back(prefix);
+    return out;
+  }
 
  private:
   std::map<PrefixT, NextHop> routes_;
@@ -374,7 +386,7 @@ TEST(RibTable, PrefixesAreComplete) {
     expected.erase(expected.begin() +
                    static_cast<std::ptrdiff_t>(victim));
   }
-  // prefixes() is in node-index order: compare as sorted multisets.
+  // prefixes() is in slot order: compare as sorted multisets.
   const auto by_length_then_bits = [](const Prefix& a, const Prefix& b) {
     return std::pair(a.length, a.bits) < std::pair(b.length, b.bits);
   };
@@ -382,6 +394,99 @@ TEST(RibTable, PrefixesAreComplete) {
   std::ranges::sort(got, by_length_then_bits);
   std::ranges::sort(expected, by_length_then_bits);
   EXPECT_EQ(got, expected);
+}
+
+/// Keys built to collide in all but a few bits: random prefixes, runs of
+/// one address under every length from a base length up (equal bits,
+/// different lengths), and full-width host routes that differ only in
+/// their lowest bits (for IPv6, only in the low limb).
+template <typename PrefixT>
+std::vector<PrefixT> near_collision_pool(Rng& rng) {
+  using Bits = typename PrefixT::Bits;
+  using Family = fib::AddressFamily<Bits>;
+  constexpr unsigned kWidth = PrefixT::kWidth;
+  std::set<PrefixT> pool;
+  while (pool.size() < 800) {
+    const auto length = static_cast<std::uint8_t>(rng.below(kWidth + 1));
+    pool.insert(PrefixT::make(Family::random(rng), length));
+  }
+  for (int run = 0; run < 8; ++run) {
+    const auto base = static_cast<std::uint8_t>(kWidth / 2 + run);
+    const PrefixT root = PrefixT::make(Family::random(rng), base);
+    for (unsigned length = base; length <= kWidth; ++length) {
+      pool.insert(PrefixT{root.bits, static_cast<std::uint8_t>(length)});
+    }
+    const Bits high = Family::random(rng) & fib::prefix_mask<Bits>(kWidth - 8);
+    for (unsigned low = 0; low < 64; ++low) {
+      pool.insert(PrefixT{high | Bits{low}, kWidth});
+    }
+  }
+  std::vector<PrefixT> out(pool.begin(), pool.end());
+  rng.shuffle(out);
+  return out;
+}
+
+/// Random add / replace / delete / re-add / withdraw-miss traffic over
+/// `near_collision_pool`, checked against NaiveRib across every growth of
+/// the table.
+template <typename PrefixT>
+void rib_table_survives_growth_and_tombstones(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<PrefixT> pool = near_collision_pool<PrefixT>(rng);
+  BasicRibTable<PrefixT> rib;
+  NaiveRib<PrefixT> naive;
+  std::set<PrefixT> ever_added;
+  std::size_t growths = 0, replaced = 0, readded = 0, misses = 0;
+  std::size_t bytes = rib.memory_bytes();
+
+  const auto expect_same_contents = [&] {
+    ASSERT_EQ(rib.size(), naive.size());
+    for (const PrefixT& p : pool) {
+      ASSERT_EQ(rib.exact(p), naive.exact(p)) << p.to_string();
+    }
+    std::vector<PrefixT> got = rib.prefixes();
+    std::ranges::sort(got);
+    ASSERT_EQ(got, naive.prefixes());
+  };
+  for (int op = 0; op < 6000; ++op) {
+    // Draw from a growing window of the pool, so the table keeps growing
+    // while earlier keys see replaces, deletes and re-adds.
+    const std::size_t window = std::min(
+        pool.size(), std::size_t{16} + static_cast<std::size_t>(op) / 4);
+    const PrefixT& p = pool[rng.below(window)];
+    if (rng.chance(0.6)) {
+      const auto next_hop = static_cast<NextHop>(rng.below(1000));
+      const bool live = naive.exact(p).has_value();
+      replaced += live;
+      readded += !live && ever_added.contains(p);
+      ASSERT_EQ(rib.route_add(p, next_hop), naive.route_add(p, next_hop));
+      ever_added.insert(p);
+    } else {
+      misses += !naive.exact(p).has_value();
+      ASSERT_EQ(rib.route_delete(p), naive.route_delete(p));
+    }
+    ASSERT_EQ(rib.size(), naive.size());
+    ASSERT_EQ(rib.node_count(), ever_added.size());
+    if (rib.memory_bytes() != bytes) {
+      ++growths;
+      bytes = rib.memory_bytes();
+      expect_same_contents();
+    }
+  }
+  expect_same_contents();
+  EXPECT_GE(growths, 5u);
+  EXPECT_GT(replaced, 0u);
+  EXPECT_GT(readded, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_LT(rib.size(), rib.node_count());  // tombstones are held
+}
+
+TEST(RibTable, GrowthAndTombstonesMatchNaiveIpv4) {
+  rib_table_survives_growth_and_tombstones<Prefix>(31);
+}
+
+TEST(RibTable, GrowthAndTombstonesMatchNaiveIpv6) {
+  rib_table_survives_growth_and_tombstones<Prefix6>(37);
 }
 
 // --- FIB rebuild ---------------------------------------------------------

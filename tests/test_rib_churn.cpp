@@ -1,6 +1,7 @@
 // The fib-real replay path end to end over the checked-in fixture feeds:
 // ingest, the replay tree against a rule tree over every named prefix on
-// random mixed feeds, stream shape, source determinism
+// random mixed feeds, a golden hash of the replay trees on a fixed
+// synthetic feed, stream shape, source determinism
 // (reset/fork/size_hint), bit-identical engine runs across shard and
 // thread geometries, and the Appendix B canonicalization bound on a
 // real-churn IPv6 trace — the wide-key wind through prefix_trie,
@@ -196,6 +197,36 @@ TEST(ChurnReplay, TreeIsTheRuleTreeOverEveryNamedPrefix) {
     expect_replay_over_named(ingest.v4, named4);
     expect_replay_over_named(ingest.v6, named6);
   }
+}
+
+/// FNV-1a over a replay's tree size, parent array and churn nodes.
+template <typename PrefixT>
+std::uint64_t replay_hash(const BasicChurnReplay<PrefixT>& replay) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t word) {
+    hash = (hash ^ word) * 0x100000001b3ULL;
+  };
+  mix(replay.fib.tree.size());
+  for (const NodeId p : replay.fib.tree.parent_array()) mix(p);
+  for (const NodeId v : replay.churn_nodes) mix(v);
+  return hash;
+}
+
+TEST(ChurnReplay, GoldenTreeOnAFixedSyntheticFeed) {
+  // Pins the replay trees' node ids, parents and churn nodes on a fixed
+  // mixed-family feed, so a change to the RIB or the rule-tree build
+  // cannot renumber them unnoticed.
+  Rng rng(2024);
+  const std::vector<FeedRecord> feed = generate_feed(
+      {.routes = 20000, .updates = 6000, .family = 46}, rng);
+  IngestResult ingest;
+  for (const FeedRecord& record : feed) ingest.apply(record);
+  const ChurnReplay replay4 = make_churn_replay(ingest.v4);
+  const ChurnReplay6 replay6 = make_churn_replay(ingest.v6);
+  EXPECT_EQ(replay4.fib.tree.size(), 20527u);
+  EXPECT_EQ(replay6.fib.tree.size(), 20593u);
+  EXPECT_EQ(replay_hash(replay4), 0x51a6bce9f5c28897ULL);
+  EXPECT_EQ(replay_hash(replay6), 0x1ce9f2d74d0d38a7ULL);
 }
 
 TEST(FixtureFeeds, FamilyWithNoRecordsIsRefused) {

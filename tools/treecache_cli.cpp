@@ -30,12 +30,13 @@
 //   ingest     --rib-feed dump.feed[,updates.feed...] [--json out.json]
 //              [--follow [--poll-ms P] [--idle-ms I]]; streams the
 //              feed(s) — text or binary MRT, sniffed per file — into
-//              per-family radix RIBs (route_add/route_delete), rebuilds
-//              the replay FIBs, and reports routes, churn, bytes,
-//              routes/sec, tree depth histograms and the ingest and
-//              rebuild seconds (schema treecache.ingest/1). --follow
-//              tail-polls the last file for growth and stops after
-//              --idle-ms with no new bytes (0 = follow until killed)
+//              per-family exact-match RIB tables (route_add/
+//              route_delete), rebuilds the replay FIBs, and reports
+//              routes, churn, bytes, routes/sec, tree depth histograms
+//              and the ingest and rebuild seconds (schema
+//              treecache.ingest/1). --follow tail-polls the last file
+//              for growth and stops after --idle-ms with no new bytes
+//              (0 = follow until killed)
 //   gen-trace  --tree tree.txt --kind <workload> --length N [--skew Z]
 //              [--neg F] [--alpha A] [--update-prob P] [--seed S]
 //              [--out trace.txt]
