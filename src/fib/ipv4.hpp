@@ -2,7 +2,7 @@
 // application (§2 of the paper) and the rib/ ingest subsystem. The key
 // width is a template parameter: `Prefix` (32-bit IPv4 keys, this header)
 // and `Prefix6` (128-bit IPv6 keys, fib/ipv6.hpp) share one BasicPrefix
-// so the trie, rule-tree, RIB generator and feed machinery stay generic.
+// so the rule tree, RIB table, RIB generator and feed code stay generic.
 #pragma once
 
 #include <charconv>

@@ -31,9 +31,10 @@ RouterSimResult run_router_sim(const RuleTree& rules, OnlineAlgorithm& alg,
     }
 
     const auto [addr, full_match] = sampler.sample_address(rng);
-    // The switch looks up the packet over its cached rules only.
-    const auto cached_match = rules.trie.lookup_if(
-        addr, [&](RuleId rule) { return alg.cache().contains(rule); });
+    // The switch looks up the packet over its cached rules only: the
+    // deepest cached rule among those containing the address.
+    const auto cached_match = rules.deepest_accepted(
+        full_match, [&](NodeId rule) { return alg.cache().contains(rule); });
     ++result.packets;
 
     if (cached_match.has_value()) {

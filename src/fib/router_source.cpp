@@ -146,15 +146,17 @@ RouterMirrorSource::RouterMirrorSource(
     : producer_(require_producer(std::move(producer))),
       rules_(&producer_->rules()),
       plan_(&producer_->plan()),
-      shard_(shard),
+      // Checked before cached_ is sized from the shard's tree.
+      shard_([&] {
+        TC_CHECK(shard < plan_->num_shards(), "shard index outside the plan");
+        return shard;
+      }()),
       alpha_(producer_->config().alpha),
-      cached_(plan_->shard_tree(shard).size(), 0) {
-  TC_CHECK(shard_ < plan_->num_shards(), "shard index outside the plan");
-}
+      cached_(plan_->shard_tree(shard_).size(), 0) {}
 
 bool RouterMirrorSource::cached_rule(NodeId v) const {
   if (plan_->shard_of(v) == shard_) return cached_[plan_->to_local(v)] != 0;
-  // An address's trie walk only visits ancestors of its full-table match:
+  // The cached-match walk only visits ancestors of the full-table match:
   // rules of the owning shard, plus the default rule. The latter reads as
   // this shard's replica root (local node 0), never as foreign state.
   return v == rules_->tree.root() && cached_[0] != 0;
@@ -194,11 +196,11 @@ std::size_t RouterMirrorSource::fill(std::span<Request> buffer) {
     }
 
     ++stats_.packets;
-    // The switch looks up the packet over this card's cached rules only;
-    // event.node is the pre-resolved full-table match, in global ids like
-    // the rules the walk visits.
-    const auto cached_match = rules_->trie.lookup_if(
-        event.addr, [&](RuleId rule) { return cached_rule(rule); });
+    // The switch looks up the packet over this card's cached rules only:
+    // the deepest cached ancestor-or-self of event.node, the pre-resolved
+    // full-table match (global ids).
+    const auto cached_match = rules_->deepest_accepted(
+        event.node, [&](NodeId rule) { return cached_rule(rule); });
 
     if (cached_match.has_value() && *cached_match == event.node) {
       ++stats_.hits;

@@ -20,9 +20,12 @@
 // are pure RNG, independent of any cache state, so the producer generates
 // the global stream ONCE and routes each event into the queue of the shard
 // owning its full-table match (the plan partitions the rule tree by
-// top-level prefix, and every rule an address's trie walk can touch is an
-// ancestor of its LPM match: same top-level prefix, plus the default rule,
-// whose per-shard replica each line card mirrors locally). A mirror pulls
+// top-level prefix, and the rules containing an address are exactly the
+// ancestors-or-self of its LPM match: same top-level prefix, plus the
+// default rule, whose per-shard replica each line card mirrors locally).
+// So the switch's lookup over its cached rules is the deepest cached rule
+// on that ancestor chain — BasicRuleTree::deepest_accepted from the
+// pre-resolved match, with no second LPM and no address. A mirror pulls
 // only its own queue; consulting only the shard's own cache mirror, so
 // feedback never crosses shards: each mirror needs exactly its shard's
 // outcomes, in per-shard order, while outcomes may complete out of order
@@ -58,9 +61,9 @@ enum class RouterEventKind : std::uint8_t { kPacket, kUpdate };
 
 /// One pre-generated event of the global router stream. `node` is the
 /// GLOBAL id of the packet's full-table LPM match (resp. the updated
-/// rule) — global so the consuming mirror can compare it against its
-/// cached-LPM walk, which sees global rule ids; the mirror localizes it
-/// only when emitting a request.
+/// rule) — global so the consuming mirror can start its cached-LPM walk
+/// up the rule tree from it; the mirror localizes it only when emitting
+/// a request.
 struct RouterEvent {
   Address addr = 0;  // packets only: the sampled address
   NodeId node = 0;
@@ -197,9 +200,9 @@ class RouterMirrorSource final : public RequestSource {
   [[nodiscard]] std::size_t shard() const { return shard_; }
 
  private:
-  /// Cache-mirror lookup by GLOBAL rule id, as the trie walk sees rules.
-  /// Foreign rules read as uncached except the default rule, which reads
-  /// this shard's replica (local node 0) — the line card's own copy.
+  /// Cache-mirror lookup by GLOBAL rule id, as the ancestor walk sees
+  /// rules. Foreign rules read as uncached except the default rule, which
+  /// reads this shard's replica (local node 0) — the line card's own copy.
   [[nodiscard]] bool cached_rule(NodeId v) const;
 
   std::shared_ptr<RouterEventProducer> producer_;

@@ -28,21 +28,23 @@ BasicRuleTree<PrefixT> build_rule_tree(std::vector<PrefixT> prefixes) {
 
   std::vector<PrefixT> node_prefix(prefixes.size() + 1);  // node 0: /0
   std::vector<NodeId> parent(prefixes.size() + 1, kNoNode);
-  BasicPrefixTrie<PrefixT> trie;
-  TC_CHECK(trie.insert(PrefixT{}, 0), "fresh trie must accept the root");
-  // The stored prefixes that contain the current one, outermost first:
-  // in preorder its parent is the innermost of them still open.
-  std::vector<std::pair<PrefixT, NodeId>> open;
+  std::vector<std::pair<PrefixT, NodeId>> sorted;
+  sorted.reserve(prefixes.size() + 1);
+  sorted.emplace_back(PrefixT{}, 0);
+  // Positions in `sorted` of the rules that contain the current one,
+  // outermost (the /0) first: in preorder its parent is the innermost of
+  // them still open.
+  std::vector<std::size_t> open{0};
   for (const PrefixT& p : prefixes) {
     const NodeId node = next_id[p.length]++;
-    while (!open.empty() && !open.back().first.contains(p)) open.pop_back();
-    parent[node] = open.empty() ? 0 : open.back().second;
-    open.emplace_back(p, node);
+    while (!sorted[open.back()].first.contains(p)) open.pop_back();
+    parent[node] = sorted[open.back()].second;
+    open.push_back(sorted.size());
+    sorted.emplace_back(p, node);
     node_prefix[node] = p;
-    TC_CHECK(trie.insert(p, node), "duplicate prefix after dedupe");
   }
   return BasicRuleTree<PrefixT>{Tree(std::move(parent)),
-                                std::move(node_prefix), std::move(trie)};
+                                std::move(node_prefix), std::move(sorted)};
 }
 
 template RuleTree build_rule_tree<Prefix>(std::vector<Prefix>);

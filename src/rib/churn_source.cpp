@@ -17,10 +17,9 @@ BasicChurnReplay<PrefixT> make_churn_replay(
   std::vector<NodeId> churn_nodes;
   churn_nodes.reserve(ingest.churn.size());
   for (const PrefixT& p : ingest.churn) {
-    const auto node = fib_tree.trie.exact(p);
-    TC_CHECK(node.has_value() || p.length == 0,
-             "churned prefix missing from the replay tree");
-    churn_nodes.push_back(node.value_or(0));
+    const auto node = fib_tree.exact(p);
+    TC_CHECK(node.has_value(), "churned prefix missing from the replay tree");
+    churn_nodes.push_back(*node);
   }
   return BasicChurnReplay<PrefixT>{std::move(fib_tree),
                                    std::move(churn_nodes)};
@@ -63,11 +62,13 @@ NodeId BasicRibChurnSource<PrefixT>::sample_lookup() {
   const Bits span_mask = ~fib::prefix_mask<Bits>(p.length);
   // A handful of rejection rounds keeps most packets on the sampled rule;
   // residual hits land on a more specific child, which is fine.
-  Bits addr = p.bits | (Family::random(rng_) & span_mask);
-  for (int tries = 0; tries < 8 && replay_->fib.lpm(addr) != rule; ++tries) {
-    addr = p.bits | (Family::random(rng_) & span_mask);
+  // Each try keeps its draw's match, so the accepted draw needs no second
+  // LPM.
+  NodeId match = replay_->fib.lpm(p.bits | (Family::random(rng_) & span_mask));
+  for (int tries = 0; tries < 8 && match != rule; ++tries) {
+    match = replay_->fib.lpm(p.bits | (Family::random(rng_) & span_mask));
   }
-  return replay_->fib.lpm(addr);
+  return match;
 }
 
 template <typename PrefixT>

@@ -413,6 +413,23 @@ class OwnedOutcomes {
   std::vector<std::array<std::vector<NodeId>, 3>> nodes_;
 };
 
+TEST(ClosedLoopSharding, MirrorRefusesAShardOutsideThePlan) {
+  // Both constructors check the shard index before touching the shard's
+  // tree: a shared-producer mirror past a multi-shard plan must throw, not
+  // read past the plan's per-shard trees.
+  sim::Params params = diff_params(kShapes[0]);
+  const fib::RuleTree rules = fib::rule_tree_from_params(params);
+  const fib::RouterSimConfig router = sim::fib_router_config(params, 8);
+  const engine::ShardPlan plan(rules.tree, 4);
+  ASSERT_EQ(plan.num_shards(), 4u);
+  auto producer =
+      std::make_shared<fib::RouterEventProducer>(rules, router, plan);
+  EXPECT_THROW(fib::RouterMirrorSource(producer, 4), CheckFailure);
+  EXPECT_THROW(fib::RouterMirrorSource(producer, 1000), CheckFailure);
+  EXPECT_THROW(fib::RouterMirrorSource(rules, router, plan, 4),
+               CheckFailure);
+}
+
 TEST(ClosedLoopSharding, ObserveBatchEqualsPerOutcomeObserve) {
   // Chunk-granularity feedback must be invisible to the closed loop: a
   // source fed one observe_batch per fill()-chunk stays in request-level

@@ -1,7 +1,7 @@
-// FIB substrate: IPv4 parsing, trie LPM vs linear scan, rule-tree
-// structure (and the build against a brute-force oracle over both key
-// widths), synthetic RIB properties, router simulation correctness, and
-// the Appendix B canonicalization bound.
+// FIB substrate: IPv4 parsing, rule-tree structure (the build and its
+// LPM, exact and cached-subset lookups against a brute-force oracle over
+// both key widths), synthetic RIB properties, router simulation
+// correctness, and the Appendix B canonicalization bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,62 +93,6 @@ TEST(Ipv4, ParseErrorsNameTheProblemAndPosition) {
       message_of([] { return Prefix::parse("10.1.2.3/8"); });
   EXPECT_NE(host.find("host bits set beyond /8"), std::string::npos) << host;
   EXPECT_NE(host.find("10.1.2.3/8"), std::string::npos) << host;
-}
-
-TEST(PrefixTrie, LpmBasics) {
-  PrefixTrie trie;
-  EXPECT_TRUE(trie.insert(Prefix::parse("10.0.0.0/8"), 1));
-  EXPECT_TRUE(trie.insert(Prefix::parse("10.1.0.0/16"), 2));
-  EXPECT_TRUE(trie.insert(Prefix::parse("192.168.0.0/16"), 3));
-  EXPECT_FALSE(trie.insert(Prefix::parse("10.0.0.0/8"), 9));  // duplicate
-
-  EXPECT_EQ(trie.lookup(parse_address("10.1.2.3")).value(), 2u);
-  EXPECT_EQ(trie.lookup(parse_address("10.2.2.3")).value(), 1u);
-  EXPECT_EQ(trie.lookup(parse_address("192.168.9.9")).value(), 3u);
-  EXPECT_FALSE(trie.lookup(parse_address("11.0.0.1")).has_value());
-}
-
-TEST(PrefixTrie, LookupIfRestrictsMatches) {
-  PrefixTrie trie;
-  trie.insert(Prefix::parse("10.0.0.0/8"), 1);
-  trie.insert(Prefix::parse("10.1.0.0/16"), 2);
-  const Address addr = parse_address("10.1.2.3");
-  const auto only_rule_1 =
-      trie.lookup_if(addr, [](RuleId r) { return r == 1; });
-  EXPECT_EQ(only_rule_1.value(), 1u);
-  const auto nothing = trie.lookup_if(addr, [](RuleId) { return false; });
-  EXPECT_FALSE(nothing.has_value());
-}
-
-TEST(PrefixTrie, MatchesLinearScanOnRandomRib) {
-  Rng rng(42);
-  const auto rib = generate_rib({.rules = 400}, rng);
-  PrefixTrie trie;
-  for (std::size_t i = 0; i < rib.size(); ++i) {
-    trie.insert(rib[i], static_cast<RuleId>(i));
-  }
-  for (int round = 0; round < 2000; ++round) {
-    const auto addr = static_cast<Address>(rng());
-    // Linear scan for the longest matching prefix.
-    int best = -1;
-    for (std::size_t i = 0; i < rib.size(); ++i) {
-      if (rib[i].contains(addr) &&
-          (best < 0 ||
-           rib[i].length > rib[static_cast<std::size_t>(best)].length)) {
-        best = static_cast<int>(i);
-      }
-    }
-    const auto got = trie.lookup(addr);
-    if (best < 0) {
-      EXPECT_FALSE(got.has_value());
-    } else {
-      ASSERT_TRUE(got.has_value());
-      // Lengths must agree (several rules may share bits/length shape).
-      EXPECT_EQ(rib[*got].length,
-                rib[static_cast<std::size_t>(best)].length);
-      EXPECT_TRUE(rib[*got].contains(addr));
-    }
-  }
 }
 
 TEST(RuleTree, ParentIsLongestProperAncestor) {
@@ -267,20 +211,42 @@ void rule_tree_matches_brute_force(std::uint64_t seed) {
     });
     ASSERT_EQ(rt.tree.parent(v), parent) << p.to_string();
     nested += parent != 0;
-    EXPECT_EQ(rt.trie.exact(p), std::optional<RuleId>(v));
+    EXPECT_EQ(rt.exact(p), std::optional<NodeId>(v));
   }
   EXPECT_GT(nested, distinct.size() / 4);
+  EXPECT_EQ(rt.exact(PrefixT{}), std::optional<NodeId>(0));
 
-  // LPM on probes aimed inside a stored prefix, and on random ones.
-  for (int probe = 0; probe < 1000; ++probe) {
+  // Probes aimed inside a stored prefix, and random ones.
+  const auto draw_probe = [&](int probe) {
     const PrefixT& target = rng.pick(distinct);
     const Bits span = ~prefix_mask<Bits>(target.length);
-    const Bits addr = probe % 4 == 0
-                          ? Family::random(rng)
+    return probe % 4 == 0 ? Family::random(rng)
                           : target.bits | (Family::random(rng) & span);
+  };
+  for (int probe = 0; probe < 1000; ++probe) {
+    const Bits addr = draw_probe(probe);
     const NodeId want = longest_containing(
         [&](const PrefixT& q) { return q.contains(addr); });
     ASSERT_EQ(rt.lpm(addr), want) << "probe " << probe;
+  }
+  // The predicate walk from the full-table match is the LPM over the
+  // accepted rules alone (the /0 among them), down to accepting nothing.
+  for (const double density : {0.0, 0.05, 0.3, 0.7, 1.0}) {
+    std::vector<char> accepted(rt.tree.size());
+    for (char& a : accepted) a = rng.chance(density) ? 1 : 0;
+    const auto accept = [&](NodeId u) { return accepted[u] != 0; };
+    for (int probe = 0; probe < 300; ++probe) {
+      const Bits addr = draw_probe(probe);
+      std::optional<NodeId> want;
+      for (NodeId u = 0; u < rt.tree.size(); ++u) {
+        if (accept(u) && rt.prefix[u].contains(addr) &&
+            (!want || rt.prefix[u].length > rt.prefix[*want].length)) {
+          want = u;
+        }
+      }
+      ASSERT_EQ(rt.deepest_accepted(rt.lpm(addr), accept), want)
+          << "density " << density << " probe " << probe;
+    }
   }
   // A prefix the input never named has no exact match.
   for (int probe = 0; probe < 200; ++probe) {
@@ -289,7 +255,7 @@ void rule_tree_matches_brute_force(std::uint64_t seed) {
     const PrefixT p = PrefixT::make(Family::random(rng), length);
     if (!std::ranges::binary_search(distinct, p,
                                     by_length_then_bits<PrefixT>)) {
-      EXPECT_EQ(rt.trie.exact(p), std::nullopt) << p.to_string();
+      EXPECT_EQ(rt.exact(p), std::nullopt) << p.to_string();
     }
   }
 }
@@ -333,7 +299,7 @@ TEST(RibGen, DeaggregationCreatesDepth) {
 
 TEST(PacketSampler, MatchIsTheFullTableLpm) {
   // The sampler hands back each draw's match instead of leaving callers to
-  // rerun the LPM: it must be exactly the trie's answer, on leaf and inner
+  // rerun the LPM: it must be exactly the rule tree's LPM, on leaf and inner
   // rules alike.
   Rng rng(19);
   const auto rib = generate_rib({.rules = 600, .deaggregation = 0.6}, rng);
@@ -377,9 +343,9 @@ TEST(RouterSim, LruClosureIsAlsoForwardingCorrect) {
   EXPECT_GT(result.hits, 0u);
 }
 
-// A stub that pins a fixed (legal) subforest and records every request it
-// is stepped with, so the test can observe what the router reports to the
-// online algorithm.
+// A stub that pins a fixed subforest (legal on the tree it is built over)
+// and records every request it is stepped with, so the test can observe
+// what the router reports to the online algorithm.
 class PinnedCache final : public OnlineAlgorithm {
  public:
   PinnedCache(const Tree& tree, const std::vector<NodeId>& pins)
@@ -413,21 +379,18 @@ class PinnedCache final : public OnlineAlgorithm {
 // forwarding_errors AND reported to the algorithm as a positive request
 // for the full-table match, not silently dropped from the instance.
 //
-// Subforest-invariant algorithms over a consistent rule tree can never
-// mis-forward, so the test fabricates an *inconsistent* RuleTree: the tree
-// is a star (both rules are leaves, so pinning just the /8 is a legal
-// subforest), while the trie still nests the /16 under the /8 the way real
-// prefixes do.
+// Subforest-invariant algorithms can never mis-forward, so the test
+// fabricates a cache that breaks the invariant on the real rule tree: it
+// holds the /8 without its child /16. A Subforest refuses such an insert,
+// so the pins go in while the tree slot holds a star with the same node
+// ids and preorder, and the real nested tree is moved back afterwards.
 TEST(RouterSim, ForwardingErrorsDetourViaController) {
-  RuleTree rt{
-      .tree = Tree({kNoNode, 0, 0}),  // star: the /16 is NOT a tree child
-      .prefix = {Prefix{}, Prefix::parse("10.0.0.0/8"),
-                 Prefix::parse("10.0.0.0/16")},
-      .trie = {}};
-  rt.trie.insert(rt.prefix[1], 1);
-  rt.trie.insert(rt.prefix[2], 2);
-
+  RuleTree rt = build_rule_tree(std::vector<Prefix>{
+      Prefix::parse("10.0.0.0/8"), Prefix::parse("10.0.0.0/16")});
+  ASSERT_EQ(rt.tree.parent(2), 1u);  // the /16 nests under the /8
+  Tree nested = std::exchange(rt.tree, Tree({kNoNode, 0, 0}));
   PinnedCache pinned(rt.tree, {1});  // the /8 is cached, the /16 is not
+  rt.tree = std::move(nested);
   const auto result = run_router_sim(
       rt, pinned, {.packets = 2000, .zipf_skew = 1.0, .alpha = 4, .seed = 9});
 

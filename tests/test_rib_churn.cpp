@@ -4,8 +4,8 @@
 // synthetic feed, stream shape, source determinism
 // (reset/fork/size_hint), bit-identical engine runs across shard and
 // thread geometries, and the Appendix B canonicalization bound on a
-// real-churn IPv6 trace — the wide-key wind through prefix_trie,
-// rule_tree and canonicalizer.
+// real-churn IPv6 trace — the wide-key wind through rule_tree and
+// canonicalizer.
 #include "rib/churn_source.hpp"
 
 #include <gtest/gtest.h>
@@ -150,11 +150,12 @@ void expect_replay_over_named(const BasicIngest<PrefixT>& ingest,
       std::vector<PrefixT>(named.begin(), named.end()));
   std::vector<NodeId> oracle_churn;
   for (const PrefixT& p : ingest.churn) {
-    oracle_churn.push_back(oracle.trie.exact(p).value_or(0));
+    oracle_churn.push_back(oracle.exact(p).value_or(0));
   }
   const auto replay = make_churn_replay(ingest);
   EXPECT_EQ(replay.fib.tree.parent_array(), oracle.tree.parent_array());
   EXPECT_EQ(replay.fib.prefix, oracle.prefix);
+  EXPECT_EQ(replay.fib.sorted, oracle.sorted);
   EXPECT_EQ(replay.churn_nodes, oracle_churn);
 }
 
